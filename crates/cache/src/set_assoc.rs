@@ -76,16 +76,28 @@ pub struct EvictedLine<M> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     cfg: SetAssocConfig,
-    sets: Vec<Vec<Line<M>>>,
+    /// Every line in one flat array, set-major: set `s` is
+    /// `lines[s * ways..(s + 1) * ways]`. A lookup is one index
+    /// computation and a scan of `ways` adjacent lines, with no per-set
+    /// heap indirection.
+    lines: Vec<Line<M>>,
     clock: u64,
     stats: CacheStats,
 }
 
-impl<M: Clone> SetAssocCache<M> {
+impl<M: Clone + Default> SetAssocCache<M> {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: SetAssocConfig) -> Self {
-        let sets = (0..cfg.sets).map(|_| Vec::with_capacity(cfg.ways)).collect();
-        SetAssocCache { cfg, sets, clock: 0, stats: CacheStats::default() }
+        let lines = (0..cfg.sets * cfg.ways)
+            .map(|_| Line {
+                addr: BlockAddr(0),
+                valid: false,
+                prefetch: false,
+                lru: 0,
+                meta: M::default(),
+            })
+            .collect();
+        SetAssocCache { cfg, lines, clock: 0, stats: CacheStats::default() }
     }
 
     /// The cache geometry.
@@ -103,8 +115,11 @@ impl<M: Clone> SetAssocCache<M> {
         self.stats = CacheStats::default();
     }
 
-    fn set_of(&self, addr: BlockAddr) -> usize {
-        addr.set_index(self.cfg.sets)
+    /// Indices of `addr`'s set in `lines`.
+    #[inline]
+    fn set_range(&self, addr: BlockAddr) -> std::ops::Range<usize> {
+        let base = addr.set_index(self.cfg.sets) * self.cfg.ways;
+        base..base + self.cfg.ways
     }
 
     /// Looks up `addr`, updating LRU on hit. Returns the line's metadata.
@@ -116,8 +131,8 @@ impl<M: Clone> SetAssocCache<M> {
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<(&mut M, bool)> {
         self.clock += 1;
         let clock = self.clock;
-        let set = self.set_of(addr);
-        let line = self.sets[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
+        let set = self.set_range(addr);
+        let line = self.lines[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
         line.lru = clock;
         let first_touch = line.prefetch;
         line.prefetch = false;
@@ -130,14 +145,16 @@ impl<M: Clone> SetAssocCache<M> {
 
     /// Peeks at `addr` without updating LRU or the prefetch bit.
     pub fn peek(&self, addr: BlockAddr) -> Option<&M> {
-        let set = self.set_of(addr);
-        self.sets[set].iter().find(|l| l.valid && l.addr == addr).map(|l| &l.meta)
+        self.lines[self.set_range(addr)]
+            .iter()
+            .find(|l| l.valid && l.addr == addr)
+            .map(|l| &l.meta)
     }
 
     /// Mutable peek without LRU/prefetch-bit side effects.
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut M> {
-        let set = self.set_of(addr);
-        self.sets[set]
+        let set = self.set_range(addr);
+        self.lines[set]
             .iter_mut()
             .find(|l| l.valid && l.addr == addr)
             .map(|l| &mut l.meta)
@@ -150,8 +167,10 @@ impl<M: Clone> SetAssocCache<M> {
 
     /// Whether the line at `addr` still has its prefetch bit set.
     pub fn prefetch_bit(&self, addr: BlockAddr) -> Option<bool> {
-        let set = self.set_of(addr);
-        self.sets[set].iter().find(|l| l.valid && l.addr == addr).map(|l| l.prefetch)
+        self.lines[self.set_range(addr)]
+            .iter()
+            .find(|l| l.valid && l.addr == addr)
+            .map(|l| l.prefetch)
     }
 
     /// Inserts `addr`, evicting the LRU line if the set is full.
@@ -162,9 +181,8 @@ impl<M: Clone> SetAssocCache<M> {
     pub fn fill(&mut self, addr: BlockAddr, prefetched: bool, meta: M) -> Option<EvictedLine<M>> {
         self.clock += 1;
         let clock = self.clock;
-        let ways = self.cfg.ways;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
+        let range = self.set_range(addr);
+        let set = &mut self.lines[range];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.addr == addr) {
             line.lru = clock;
@@ -183,12 +201,9 @@ impl<M: Clone> SetAssocCache<M> {
         let new_line =
             Line { addr, valid: true, prefetch: prefetched, lru: clock, meta };
 
+        // The first invalid way, in way order, takes the line.
         if let Some(slot) = set.iter_mut().find(|l| !l.valid) {
             *slot = new_line;
-            return None;
-        }
-        if set.len() < ways {
-            set.push(new_line);
             return None;
         }
         let victim_idx = set
@@ -212,8 +227,8 @@ impl<M: Clone> SetAssocCache<M> {
     /// Removes `addr` (coherence invalidation / inclusion recall),
     /// returning its metadata.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<M> {
-        let set = self.set_of(addr);
-        let line = self.sets[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
+        let set = self.set_range(addr);
+        let line = self.lines[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
         line.valid = false;
         self.stats.invalidations += 1;
         Some(line.meta.clone())
@@ -221,17 +236,13 @@ impl<M: Clone> SetAssocCache<M> {
 
     /// Number of valid lines currently resident.
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 
     /// Calls `f` for every valid line (for assertions and debugging).
     pub fn for_each_valid(&self, mut f: impl FnMut(BlockAddr, &M)) {
-        for set in &self.sets {
-            for l in set {
-                if l.valid {
-                    f(l.addr, &l.meta);
-                }
-            }
+        for l in self.lines.iter().filter(|l| l.valid) {
+            f(l.addr, &l.meta);
         }
     }
 }

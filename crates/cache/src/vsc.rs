@@ -152,7 +152,19 @@ pub struct VscEvicted<M> {
 #[derive(Debug, Clone)]
 pub struct VscCache<M> {
     cfg: VscConfig,
+    /// Per-set tag vectors rather than one flat array: a flat 4 MB
+    /// cache's tags are a single multi-megabyte block, which the
+    /// allocator keeps resident after a cell drops it, raising peak RSS
+    /// of multi-cell runs for no speed gain.
     sets: Vec<Vec<Tag<M>>>,
+    /// Lines resident with data, kept current by every fill, eviction and
+    /// invalidation so occupancy queries are O(1).
+    resident: usize,
+    /// Data segments in use across all sets, maintained alongside
+    /// `resident`.
+    used_segments: u64,
+    /// The last fill's evictions; reused so a fill allocates nothing.
+    evicted: Vec<VscEvicted<M>>,
     clock: u64,
     stats: CacheStats,
 }
@@ -185,7 +197,15 @@ impl<M: Clone + Default> VscCache<M> {
                     .collect()
             })
             .collect();
-        VscCache { cfg, sets, clock: 0, stats: CacheStats::default() }
+        VscCache {
+            cfg,
+            sets,
+            resident: 0,
+            used_segments: 0,
+            evicted: Vec::new(),
+            clock: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache geometry.
@@ -282,7 +302,8 @@ impl<M: Clone + Default> VscCache<M> {
 
     /// Inserts (or resizes) `addr` with `segments` of data, evicting LRU
     /// data lines as needed. Evicted lines' tags stay allocated as victim
-    /// tags; evicted metadata is returned for writebacks/recalls.
+    /// tags; evicted metadata is returned for writebacks/recalls, in
+    /// eviction order, in a buffer the next fill reuses.
     ///
     /// # Panics
     ///
@@ -293,7 +314,7 @@ impl<M: Clone + Default> VscCache<M> {
         segments: u8,
         prefetched: bool,
         meta: M,
-    ) -> Vec<VscEvicted<M>> {
+    ) -> &[VscEvicted<M>] {
         assert!(
             (1..=self.cfg.line_segments).contains(&segments),
             "fill size {segments} out of range 1..={}",
@@ -304,7 +325,8 @@ impl<M: Clone + Default> VscCache<M> {
         let cfg = self.cfg;
         let set_idx = self.set_of(addr);
         let set = &mut self.sets[set_idx];
-        let mut evicted = Vec::new();
+        let evicted = &mut self.evicted;
+        evicted.clear();
 
         // Locate or allocate the tag for `addr`.
         let existing = set.iter().position(|t| t.allocated && t.addr == addr);
@@ -315,9 +337,8 @@ impl<M: Clone + Default> VscCache<M> {
             existing.filter(|&i| set[i].has_data).map(|i| u32::from(set[i].segments)).unwrap_or(0);
 
         // Evict LRU data lines until the new size fits.
-        while Self::used_segments(set) - my_current + u32::from(segments)
-            > cfg.segments_per_set
-        {
+        let mut set_used = Self::used_segments(set);
+        while set_used - my_current + u32::from(segments) > cfg.segments_per_set {
             let victim_idx = set
                 .iter()
                 .enumerate()
@@ -332,6 +353,9 @@ impl<M: Clone + Default> VscCache<M> {
                 was_unused_prefetch: v.prefetch,
                 meta: std::mem::take(&mut v.meta),
             });
+            set_used -= u32::from(v.segments);
+            self.resident -= 1;
+            self.used_segments -= u64::from(v.segments);
             v.has_data = false;
             v.segments = 0;
             v.prefetch = false;
@@ -373,6 +397,8 @@ impl<M: Clone + Default> VscCache<M> {
                     if v.prefetch {
                         self.stats.unused_prefetch_evictions += 1;
                     }
+                    self.resident -= 1;
+                    self.used_segments -= u64::from(v.segments);
                     v.has_data = false;
                     v.segments = 0;
                     v.prefetch = false;
@@ -383,6 +409,10 @@ impl<M: Clone + Default> VscCache<M> {
         };
 
         let tag = &mut set[slot];
+        if !had_data {
+            self.resident += 1;
+        }
+        self.used_segments = self.used_segments - u64::from(my_current) + u64::from(segments);
         tag.addr = addr;
         tag.allocated = true;
         tag.has_data = true;
@@ -401,7 +431,7 @@ impl<M: Clone + Default> VscCache<M> {
         }
 
         debug_assert!(Self::used_segments(set) <= cfg.segments_per_set);
-        evicted
+        &self.evicted
     }
 
     /// Removes a resident line (inclusion recall / invalidation), keeping
@@ -415,21 +445,20 @@ impl<M: Clone + Default> VscCache<M> {
         let segs = tag.segments;
         tag.segments = 0;
         tag.prefetch = false;
+        self.resident -= 1;
+        self.used_segments -= u64::from(segs);
         self.stats.invalidations += 1;
         Some((std::mem::take(&mut tag.meta), segs))
     }
 
-    /// Number of lines resident with data.
+    /// Number of lines resident with data (a running count, O(1)).
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|t| t.has_data).count()
+        self.resident
     }
 
-    /// Total data segments in use.
+    /// Total data segments in use (a running count, O(1)).
     pub fn used_segments_total(&self) -> u64 {
-        self.sets
-            .iter()
-            .map(|s| u64::from(Self::used_segments(s)))
-            .sum()
+        self.used_segments
     }
 
     /// Effective-capacity ratio: how much line data is resident per byte
@@ -456,14 +485,20 @@ impl<M: Clone + Default> VscCache<M> {
     /// - every data-holding tag is allocated and sized within the
     ///   configured codec geometry (`1..=line_segments` segments),
     /// - every dataless tag (victim tag or free) charges 0 segments and
-    ///   carries no prefetch bit.
+    ///   carries no prefetch bit,
+    /// - the running resident-line and used-segment counters equal a full
+    ///   recount.
     ///
     /// # Errors
     ///
-    /// Returns a description naming the first offending set.
+    /// Returns a description naming the first offending set, or the
+    /// counter that disagrees with the recount.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let (mut resident, mut used_total) = (0usize, 0u64);
         for (si, set) in self.sets.iter().enumerate() {
             let used = Self::used_segments(set);
+            resident += set.iter().filter(|t| t.has_data).count();
+            used_total += u64::from(used);
             if used > self.cfg.segments_per_set {
                 return Err(format!(
                     "set {si}: {used} segments in use exceed capacity {}",
@@ -498,6 +533,18 @@ impl<M: Clone + Default> VscCache<M> {
                     }
                 }
             }
+        }
+        if resident != self.resident {
+            return Err(format!(
+                "resident-line counter {} disagrees with recount {resident}",
+                self.resident
+            ));
+        }
+        if used_total != self.used_segments {
+            return Err(format!(
+                "used-segment counter {} disagrees with recount {used_total}",
+                self.used_segments
+            ));
         }
         Ok(())
     }
@@ -665,10 +712,21 @@ mod tests {
         assert!((c.effective_capacity_ratio() - 2.0).abs() < 1e-9);
     }
 
+    /// `(resident lines, used segments)` recounted from the tag array.
+    fn recount(c: &VscCache<u32>) -> (usize, u64) {
+        let (mut lines, mut segs) = (0, 0);
+        c.for_each_valid(|_, _, s| {
+            lines += 1;
+            segs += u64::from(s);
+        });
+        (lines, segs)
+    }
+
     #[test]
     fn invariants_hold_under_stress() {
         // Adversarial mix of fills, resizes and invalidations; the
-        // accounting invariants must hold after every operation.
+        // accounting invariants, and the running occupancy counters
+        // against a recount, must hold after every operation.
         let mut c = tiny();
         assert_eq!(c.check_invariants(), Ok(()));
         let mut x = 0x9E3779B97F4A7C15u64;
@@ -691,6 +749,11 @@ mod tests {
                 }
             }
             assert_eq!(c.check_invariants(), Ok(()), "violated at step {step}");
+            assert_eq!(
+                (c.valid_lines(), c.used_segments_total()),
+                recount(&c),
+                "occupancy counters drifted at step {step}"
+            );
         }
     }
 

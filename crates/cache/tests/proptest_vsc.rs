@@ -61,7 +61,7 @@ fn random_fills_preserve_invariants() {
         for &(line, segs, prefetched) in ops {
             let addr = BlockAddr(line);
             let evicted = c.fill(addr, segs, prefetched, line);
-            for e in &evicted {
+            for e in evicted {
                 prop_assert!(e.addr != addr, "fill must never evict itself");
                 model.remove(&e.addr);
             }

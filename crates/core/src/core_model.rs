@@ -11,7 +11,6 @@
 
 use cmpsim_cache::BlockAddr;
 use cmpsim_trace::{CoreGenerator, TimedEvent};
-use std::collections::BTreeSet;
 
 /// Why a core is not currently issuing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +44,11 @@ pub struct Core {
     pub pending: Option<TimedEvent>,
     /// Outstanding memory requests charged to this core (MSHR budget).
     pub outstanding: usize,
-    /// Sequence numbers of incomplete loads (for the ROB limit).
-    load_seqs: BTreeSet<u64>,
+    /// Incomplete loads as `(sequence number, line)`, in issue order.
+    /// Sequence numbers are instruction indices, strictly increasing
+    /// from one load to the next, so the front is the oldest load (the
+    /// ROB limit) and appending keeps the vector sorted.
+    loads: Vec<(u64, BlockAddr)>,
     /// Current stall reason.
     pub waiting: Wait,
     /// Instruction count at which this core stops.
@@ -65,7 +67,7 @@ impl Core {
             insts: 0,
             pending: None,
             outstanding: 0,
-            load_seqs: BTreeSet::new(),
+            loads: Vec::new(),
             waiting: Wait::Ready,
             quota: u64::MAX,
             finished_at: None,
@@ -77,21 +79,24 @@ impl Core {
         self.pending.take().unwrap_or_else(|| self.gen.next_event())
     }
 
-    /// Registers an incomplete load issued at instruction `seq`.
-    pub fn track_load(&mut self, seq: u64) {
-        self.load_seqs.insert(seq);
+    /// Registers an incomplete load of `line` issued at instruction
+    /// `seq`, which must be later than every load tracked so far.
+    pub fn track_load(&mut self, seq: u64, line: BlockAddr) {
+        debug_assert!(self.loads.last().is_none_or(|&(s, _)| s < seq), "loads out of order");
+        self.loads.push((seq, line));
     }
 
-    /// Completes loads with the given sequence numbers.
-    pub fn complete_loads(&mut self, seqs: &[u64]) {
-        for s in seqs {
-            self.load_seqs.remove(s);
-        }
+    /// Completes every load waiting on `line` (its fill arrived).
+    /// Returns whether there were any.
+    pub fn complete_loads(&mut self, line: BlockAddr) -> bool {
+        let before = self.loads.len();
+        self.loads.retain(|&(_, l)| l != line);
+        self.loads.len() != before
     }
 
     /// Oldest incomplete load's sequence number.
     pub fn oldest_load(&self) -> Option<u64> {
-        self.load_seqs.first().copied()
+        self.loads.first().map(|&(seq, _)| seq)
     }
 
     /// How many more instructions may issue before the ROB limit blocks,
@@ -123,25 +128,29 @@ mod tests {
         let mut c = core();
         assert_eq!(c.issuable(128), u64::MAX, "no outstanding loads");
         c.insts = 100;
-        c.track_load(100);
+        c.track_load(100, BlockAddr(1));
         assert_eq!(c.issuable(128), 128, "can run to seq 228");
         c.insts = 200;
         assert_eq!(c.issuable(128), 28);
         c.insts = 250;
         assert_eq!(c.issuable(128), 0, "blocked");
-        c.complete_loads(&[100]);
+        assert!(c.complete_loads(BlockAddr(1)));
         assert_eq!(c.issuable(128), u64::MAX);
     }
 
     #[test]
     fn oldest_load_orders() {
         let mut c = core();
-        c.track_load(50);
-        c.track_load(10);
-        c.track_load(30);
+        c.track_load(10, BlockAddr(7));
+        c.track_load(30, BlockAddr(9));
+        c.track_load(50, BlockAddr(8));
+        c.track_load(60, BlockAddr(7));
         assert_eq!(c.oldest_load(), Some(10));
-        c.complete_loads(&[10, 30]);
+        assert!(c.complete_loads(BlockAddr(7)), "both loads of line 7 complete");
+        assert_eq!(c.oldest_load(), Some(30));
+        assert!(c.complete_loads(BlockAddr(9)));
         assert_eq!(c.oldest_load(), Some(50));
+        assert!(!c.complete_loads(BlockAddr(9)), "nothing left on line 9");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The event-driven simulation engine.
 //!
-//! A single binary-heap event queue drives five event kinds:
-//! core execution steps, L2 accesses, off-chip request launches, memory
-//! responses, and L1 fills. Cores batch privately between L1 misses (all
-//! L1-hit work is core-local), so events exist only where components
-//! interact — L2 banks, the link, memory, and coherence.
+//! A single timing-wheel event queue ([`EventQueue`]) drives six event
+//! kinds: core execution steps, L2 accesses, off-chip request launches,
+//! memory responses, L2 fills and L1 fills. Cores batch privately
+//! between L1 misses (all L1-hit work is core-local), so events exist
+//! only where components interact — L2 banks, the link, memory, and
+//! coherence.
 //!
 //! Timing approximation: a core may run a few tens of cycles ahead of
 //! global event time (bounded by its 128-instruction ROB run-ahead), so
@@ -15,6 +16,7 @@ use crate::core_model::{Core, Wait};
 use crate::error::SimError;
 use crate::stats::{RunResult, SimStats, TelemetrySample};
 use crate::system::l2::{EvictedL2, L2Cache};
+use crate::system::queue::EventQueue;
 use crate::telemetry::{render_record, EngineTrace, TraceKind, TraceOptions, LIVELOCK_EVENT_WINDOW};
 use cmpsim_cache::{
     AccessKind, BlockAddr, CompressionDecision, CompressionPolicy, SetAssocCache, SetAssocConfig,
@@ -25,10 +27,9 @@ use cmpsim_harness::fastmap::{AddrMap, MemoCache};
 use cmpsim_harness::telemetry::{self as harness_telemetry, FlightRecorder, Record};
 use cmpsim_link::{Channel, Message};
 use cmpsim_mem::MemoryController;
-use cmpsim_prefetch::{PrefetchThrottle, PrefetcherConfig, StridePrefetcher};
+use cmpsim_prefetch::{Burst, PrefetchThrottle, PrefetcherConfig, StridePrefetcher};
 use cmpsim_trace::{CoreGenerator, TraceEvent, WorkloadSpec};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Instant;
 
 /// Sample the effective capacity ratio every this many demand L2 accesses.
@@ -47,10 +48,6 @@ const INVARIANT_SAMPLE_PERIOD: u64 = 2048;
 /// entry per distinct block address touched (64 Ki slots cover a 4 MB L2
 /// with headroom for link-only traffic).
 const SEG_MEMO_SLOTS: usize = 1 << 16;
-/// Bits of the packed heap key holding the event-pool slot index. The
-/// remaining low bits of the key's lower word (64 − SLOT_BITS = 42) hold
-/// the schedule sequence number; see [`System::schedule`].
-const SLOT_BITS: u32 = 22;
 /// Detected-corruption strikes before a line is quarantined to
 /// uncompressed storage (chaos runs only).
 const QUARANTINE_STRIKES: u8 = 3;
@@ -89,12 +86,12 @@ enum Event {
 }
 
 /// An in-flight request from one core's L1s (demand or L1 prefetch).
+/// The loads waiting on it are tracked by the core, keyed by line.
 #[derive(Debug)]
 struct CoreMshr {
     l1: L1Kind,
     prefetched: bool,
     store: bool,
-    load_seqs: Vec<u64>,
 }
 
 /// A consumer of an in-flight L2 memory fetch.
@@ -141,20 +138,8 @@ pub struct System {
     codec_decomp: u64,
 
     now: u64,
-    seq: u64,
-    /// Min-heap of packed event keys: `time << 64 | seq << SLOT_BITS |
-    /// slot`. One `u128` compare orders by `(time, seq)` — `seq` is
-    /// unique, so the slot bits never decide — and keeps heap entries at
-    /// 16 bytes for sift locality.
-    queue: BinaryHeap<Reverse<u128>>,
-    /// Slab of scheduled events, indexed by the heap's third tuple field.
-    /// Slots are recycled through `free_slots` once dispatched, so the
-    /// slab's high-water mark tracks the *outstanding* event count, not
-    /// the total ever scheduled. Heap order is `(time, seq)` — `seq` is
-    /// unique and monotonic, so the slot index never participates in
-    /// ordering and recycling cannot perturb determinism.
-    event_pool: Vec<Event>,
-    free_slots: Vec<usize>,
+    /// Pending events, popped in exact `(time, schedule order)`.
+    queue: EventQueue<Event>,
 
     /// Boxed so `step_core`'s take/put-back (a borrow-splitting dance)
     /// moves one pointer, not the core's whole embedded trace generator.
@@ -164,8 +149,13 @@ pub struct System {
     core_mshrs: Vec<AddrMap<CoreMshr>>,
 
     l2: L2Cache,
+    /// Scratch for the lines an L2 fill evicts, reused across fills.
+    l2_evicted: Vec<EvictedL2>,
     bank_free: Vec<u64>,
     l2_mshrs: AddrMap<L2Mshr>,
+    /// Emptied waiter lists of completed L2 fetches, reused by new ones
+    /// so a miss allocates nothing.
+    spare_waiters: Vec<Vec<Waiter>>,
     link: Channel,
     mem: MemoryController,
 
@@ -254,17 +244,16 @@ impl System {
             codec_image,
             codec_decomp,
             now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            event_pool: Vec::new(),
-            free_slots: Vec::new(),
+            queue: EventQueue::new(),
             cores,
             l1i: (0..n).map(|_| SetAssocCache::new(l1_cfg)).collect(),
             l1d: (0..n).map(|_| SetAssocCache::new(l1_cfg)).collect(),
             core_mshrs: (0..n).map(|_| AddrMap::with_capacity(cfg.mshrs_per_core * 2)).collect(),
             l2: L2Cache::new(cfg.l2_bytes, cfg.uses_vsc(), codec_max),
+            l2_evicted: Vec::new(),
             bank_free: vec![0; cfg.l2_banks],
             l2_mshrs: AddrMap::with_capacity(64),
+            spare_waiters: Vec::new(),
             link: Channel::new(cfg.link, cfg.clock_ghz),
             mem: MemoryController::with_line_segments(cfg.mem_latency, codec_max),
             pf_l1i: (0..n).map(|_| StridePrefetcher::new(PrefetcherConfig::l1())).collect(),
@@ -528,20 +517,15 @@ impl System {
         }
         self.last_progress_now = self.now;
         self.last_progress_insts = self.total_retired();
-        while let Some(Reverse(key)) = self.queue.pop() {
+        while let Some((time, ev)) = self.queue.pop() {
             if self.finished == usize::from(self.cfg.cores) {
                 break;
             }
-            let idx = (key as u64 & ((1 << SLOT_BITS) - 1)) as usize;
-            self.now = (key >> 64) as u64;
+            self.now = time;
             self.watchdog_tick()?;
             if self.now >= self.next_sample {
                 self.take_sample();
             }
-            let ev = self.event_pool[idx];
-            // The slot is dead as soon as the event is read; recycle it
-            // before dispatch so the handlers' own schedules can reuse it.
-            self.free_slots.push(idx);
             self.dispatch(ev);
             self.dispatched += 1;
             if let Some(err) = self.pending_fault_error.take() {
@@ -764,24 +748,7 @@ impl System {
     }
 
     fn schedule(&mut self, time: u64, ev: Event) {
-        self.seq += 1;
-        let idx = match self.free_slots.pop() {
-            Some(slot) => {
-                self.event_pool[slot] = ev;
-                slot
-            }
-            None => {
-                self.event_pool.push(ev);
-                self.event_pool.len() - 1
-            }
-        };
-        assert!(
-            self.seq < 1 << (64 - SLOT_BITS) && idx < 1 << SLOT_BITS,
-            "packed event key overflow"
-        );
-        self.queue.push(Reverse(
-            (u128::from(time) << 64) | u128::from(self.seq << SLOT_BITS | idx as u64),
-        ));
+        self.queue.push(time, ev);
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -1044,10 +1011,10 @@ impl System {
         self.stats.l1i.demand_misses += 1;
         self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 0, 0, line.0);
         let deg = self.l1_degree(L1Kind::I, c);
-        let burst = if deg > 0 { self.pf_l1i[c].on_miss(line, deg) } else { Vec::new() };
+        let burst = if deg > 0 { self.pf_l1i[c].on_miss(line, deg) } else { Burst::EMPTY };
         self.core_mshrs[c].insert(
             line.0,
-            CoreMshr { l1: L1Kind::I, prefetched: false, store: false, load_seqs: Vec::new() },
+            CoreMshr { l1: L1Kind::I, prefetched: false, store: false },
         );
         core.outstanding += 1;
         let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
@@ -1098,7 +1065,7 @@ impl System {
                 self.trace_at(core.cycle, TraceKind::Coherence, c as u8, 3, 0, line.0);
                 self.core_mshrs[c].insert(
                     line.0,
-                    CoreMshr { l1: L1Kind::D, prefetched: false, store: true, load_seqs: Vec::new() },
+                    CoreMshr { l1: L1Kind::D, prefetched: false, store: true },
                 );
                 core.outstanding += 1;
                 let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
@@ -1132,8 +1099,7 @@ impl System {
             if store {
                 m.store = true;
             } else {
-                m.load_seqs.push(seq);
-                core.track_load(seq);
+                core.track_load(seq, line);
             }
             self.trace_at(
                 core.cycle,
@@ -1161,14 +1127,11 @@ impl System {
         self.stats.l1d.demand_misses += 1;
         self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 1 | (u16::from(store) << 1), 0, line.0);
         let deg = self.l1_degree(L1Kind::D, c);
-        let burst = if deg > 0 { self.pf_l1d[c].on_miss(line, deg) } else { Vec::new() };
-        let mut load_seqs = Vec::new();
+        let burst = if deg > 0 { self.pf_l1d[c].on_miss(line, deg) } else { Burst::EMPTY };
         if !store {
-            load_seqs.push(seq);
-            core.track_load(seq);
+            core.track_load(seq, line);
         }
-        self.core_mshrs[c]
-            .insert(line.0, CoreMshr { l1: L1Kind::D, prefetched: false, store, load_seqs });
+        self.core_mshrs[c].insert(line.0, CoreMshr { l1: L1Kind::D, prefetched: false, store });
         core.outstanding += 1;
         let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
         self.schedule(
@@ -1220,7 +1183,7 @@ impl System {
             addr.0,
         );
         self.core_mshrs[c]
-            .insert(addr.0, CoreMshr { l1: kind, prefetched: true, store: false, load_seqs: Vec::new() });
+            .insert(addr.0, CoreMshr { l1: kind, prefetched: true, store: false });
         core.outstanding += 1;
         self.schedule(
             at + self.cfg.l1_to_l2_latency,
@@ -1383,7 +1346,7 @@ impl System {
             }
             return;
         }
-        let mut mshr = L2Mshr { waiters: Vec::new(), prefetch_core: None };
+        let mut mshr = self.new_l2_mshr(None);
         if origin == Origin::L2Prefetch {
             mshr.prefetch_core = Some(c as u8);
         } else {
@@ -1396,6 +1359,11 @@ impl System {
         }
         self.l2_mshrs.insert(addr.0, mshr);
         self.schedule(tag_done, Event::LinkRequest { addr, attempt: 0 });
+    }
+
+    /// An L2 MSHR with no waiters yet, on a recycled waiter list.
+    fn new_l2_mshr(&mut self, prefetch_core: Option<u8>) -> L2Mshr {
+        L2Mshr { waiters: self.spare_waiters.pop().unwrap_or_default(), prefetch_core }
     }
 
     fn handle_link_request(&mut self, addr: BlockAddr, attempt: u8) {
@@ -1458,13 +1426,19 @@ impl System {
 
     fn handle_mem_response(&mut self, addr: BlockAddr, attempt: u8) {
         let link_compression = self.cfg.link_compression;
-        let fresh = if link_compression {
-            self.segments_of(addr)
-        } else {
-            self.codec_max
-        };
-        let (_, form) = self.mem.read(addr, self.now, || fresh);
-        let segments = if link_compression { form.segments } else { self.codec_max };
+        let codec_max = self.codec_max;
+        // A line memory has never stored is sized only now, on its first
+        // read; the memo entry is a pure function of the address, so
+        // skipping it for stored lines changes no result.
+        let (values, sizer, memo) = (&self.values, self.codec_segments, &mut self.seg_cache);
+        let (_, form) = self.mem.read(addr, self.now, || {
+            if link_compression {
+                memo.get_or_insert_with(addr.0, || sizer(&values.line_bytes(addr.0)))
+            } else {
+                codec_max
+            }
+        });
+        let segments = if link_compression { form.segments } else { codec_max };
         let for_prefetch = self
             .l2_mshrs
             .get(addr.0)
@@ -1590,14 +1564,16 @@ impl System {
         let prefetched_fill =
             mshr.waiters.is_empty() || mshr.waiters.iter().all(|w| w.prefetched);
         let seg_store = self.store_segments(addr);
-        let evicted = self.l2.fill(addr, seg_store, prefetched_fill, DirEntry::new());
+        let mut evicted = std::mem::take(&mut self.l2_evicted);
+        self.l2.fill(addr, seg_store, prefetched_fill, DirEntry::new(), &mut evicted);
         if prefetched_fill {
             self.stats.l2.prefetch_fills += 1;
             self.trace_event(TraceKind::PrefetchFill, 0, 2, u32::from(seg_store), addr.0);
         }
-        for e in evicted {
+        for e in evicted.drain(..) {
             self.handle_l2_eviction(e);
         }
+        self.l2_evicted = evicted;
 
         // Service the waiters in arrival order.
         let stored_compressed = seg_store < self.codec_max;
@@ -1620,6 +1596,10 @@ impl System {
                 },
             );
         }
+
+        let mut waiters = mshr.waiters;
+        waiters.clear();
+        self.spare_waiters.push(waiters);
 
         // A prefetch-only fetch frees its issuer's MSHR budget here.
         if let Some(pc) = mshr.prefetch_core {
@@ -1771,8 +1751,8 @@ impl System {
         if let Some(core) = self.cores[c].as_mut() {
             core.outstanding += 1;
         }
-        self.l2_mshrs
-            .insert(addr.0, L2Mshr { waiters: Vec::new(), prefetch_core: Some(c as u8) });
+        let mshr = self.new_l2_mshr(Some(c as u8));
+        self.l2_mshrs.insert(addr.0, mshr);
         self.schedule(at.max(self.now), Event::LinkRequest { addr, attempt: 0 });
     }
 
@@ -1900,10 +1880,10 @@ impl System {
                     "MSHR belongs to an L1"
                 );
                 core.outstanding = core.outstanding.saturating_sub(1);
-                core.complete_loads(&m.load_seqs);
+                let had_loads = core.complete_loads(addr);
                 wake = match core.waiting {
                     Wait::IFetch(a) | Wait::Load(a) => a == addr,
-                    Wait::Rob => !m.load_seqs.is_empty(),
+                    Wait::Rob => had_loads,
                     Wait::Mshr => true,
                     Wait::Ready | Wait::Done => false,
                 };

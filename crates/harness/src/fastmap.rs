@@ -54,10 +54,14 @@ enum Slot<V> {
 /// A deterministic open-addressing hash map keyed by `u64` (block
 /// addresses on the engine's hot path).
 ///
-/// Linear probing with tombstone deletion; the table grows (and sheds
-/// accumulated tombstones) when live entries plus tombstones exceed 3/4
-/// of capacity. All operations are pure functions of the operation
-/// sequence — there is no per-instance or per-process randomness.
+/// Linear probing with tombstone deletion. When live entries plus
+/// tombstones exceed 3/4 of capacity the table is rebuilt without its
+/// tombstones: at the same capacity when fewer than half the slots hold
+/// live entries, doubled otherwise. A map whose live set stays small
+/// therefore keeps a small table however many distinct keys pass through
+/// it (an MSHR map sees a fresh block address on almost every miss).
+/// All operations are pure functions of the operation sequence — there
+/// is no per-instance or per-process randomness.
 ///
 /// # Examples
 ///
@@ -114,6 +118,11 @@ impl<V> AddrMap<V> {
         self.len == 0
     }
 
+    /// Slots in the table (live entries, tombstones and empty slots).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
     #[inline]
     fn probe_start(&self, key: u64) -> usize {
         fx_hash64(key) as usize & self.mask
@@ -164,7 +173,7 @@ impl<V> AddrMap<V> {
     /// path when the key is new.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
         if (self.used + 1) * 4 > self.slots.len() * 3 {
-            self.grow();
+            self.rehash();
         }
         let mut i = self.probe_start(key);
         let mut first_tombstone: Option<usize> = None;
@@ -227,10 +236,13 @@ impl<V> AddrMap<V> {
         })
     }
 
-    /// Doubles the table (at least) and re-seats every live entry,
-    /// discarding tombstones.
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
+    /// Re-seats every live entry in a fresh table, discarding
+    /// tombstones. The capacity is kept when fewer than half the slots
+    /// are live (tombstones filled the table) and doubled otherwise, so
+    /// the load after a rehash is always below 1/2.
+    fn rehash(&mut self) {
+        let cap = self.slots.len();
+        let new_cap = if self.len * 2 < cap { cap } else { (cap * 2).max(8) };
         let old = std::mem::replace(
             &mut self.slots,
             (0..new_cap).map(|_| Slot::Empty).collect(),

@@ -99,8 +99,11 @@ fn get_mut_writes_through() {
     });
 }
 
-/// Churning insert/remove cycles over a bounded key set must not grow the
-/// table without bound: tombstones are reused on re-insertion.
+/// Churning insert/remove cycles over a small *repeating* key set (32
+/// keys) must stay correct: a re-inserted key reclaims a tombstone on its
+/// probe path, and the map answers exactly for the working set after the
+/// churn. Fresh-key churn, where tombstones are never re-used, is covered
+/// by `fresh_key_churn_keeps_table_bounded`.
 #[test]
 fn tombstone_churn_bounds_table() {
     check(
@@ -126,6 +129,32 @@ fn tombstone_churn_bounds_table() {
             Ok(())
         },
     );
+}
+
+/// An MSHR-style map sees a fresh block address on almost every miss
+/// while holding at most a handful of live entries. Tombstones from such
+/// churn must be swept by rehashing at the same capacity, not by doubling
+/// the table: after 200k distinct keys with at most 16 live, the table
+/// stays at the size 16 live entries need.
+#[test]
+fn fresh_key_churn_keeps_table_bounded() {
+    let mut map: AddrMap<u64> = AddrMap::with_capacity(32);
+    let initial = map.capacity();
+    let mut live = std::collections::VecDeque::new();
+    for k in 0..200_000u64 {
+        let key = k.wrapping_mul(64) ^ 0xA5A5_0000;
+        map.insert(key, k);
+        live.push_back(key);
+        if live.len() > 16 {
+            let old = live.pop_front().unwrap();
+            assert!(map.remove(old).is_some());
+        }
+        assert!(map.capacity() <= initial, "table grew to {} slots at key {k}", map.capacity());
+    }
+    assert_eq!(map.len(), 16);
+    for &key in &live {
+        assert!(map.contains_key(key));
+    }
 }
 
 /// The memo cache never exceeds its capacity and never returns a value

@@ -18,6 +18,32 @@
 use cmpsim_cache::BlockAddr;
 use cmpsim_fpc::MAX_SEGMENTS;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// One-multiply hasher for block-address keys. `BlockAddr` hashes as a
+/// single `u64`; multiplying by an odd constant is a bijection whose high
+/// bits are well mixed, and it keeps the per-read probe deterministic and
+/// far cheaper than the default SipHash.
+#[derive(Debug, Default, Clone, Copy)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// How a line is stored in DRAM (the ECC-encoded meta bit plus the
 /// segment count implied by its header).
@@ -83,7 +109,7 @@ pub struct MemoryController {
     /// bound for sent-form clamping/validation and the threshold for the
     /// ECC compressed bit.
     line_segments: u8,
-    stored: HashMap<BlockAddr, StoredForm>,
+    stored: HashMap<BlockAddr, StoredForm, BuildHasherDefault<AddrHasher>>,
     stats: MemoryStats,
 }
 
@@ -105,7 +131,7 @@ impl MemoryController {
         MemoryController {
             latency,
             line_segments,
-            stored: HashMap::new(),
+            stored: HashMap::default(),
             stats: MemoryStats::default(),
         }
     }

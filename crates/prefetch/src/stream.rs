@@ -52,11 +52,10 @@ impl StreamTable {
     /// Allocates a stream confirmed at `addr` with `stride`, returning the
     /// startup burst of `degree` prefetch addresses
     /// (`addr+stride ..= addr+degree*stride`).
-    pub fn allocate(&mut self, addr: BlockAddr, stride: i64, degree: u8) -> Vec<BlockAddr> {
+    pub fn allocate(&mut self, addr: BlockAddr, stride: i64, degree: u8) -> Burst {
         debug_assert!(stride != 0, "zero-stride streams are filtered earlier");
         self.clock += 1;
-        let burst: Vec<BlockAddr> =
-            (1..=i64::from(degree)).map(|k| addr.offset(k * stride)).collect();
+        let burst = Burst { next: addr.offset(stride), stride, left: degree };
         let entry = StreamEntry {
             expected: addr.offset(stride),
             stride,
@@ -85,6 +84,52 @@ impl StreamTable {
     }
 }
 
+/// A run of prefetch addresses, `stride` lines apart, produced on
+/// demand: a startup burst or a single stream advance, handed to the
+/// cache controller without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Burst {
+    next: BlockAddr,
+    stride: i64,
+    left: u8,
+}
+
+impl Burst {
+    /// No prefetches.
+    pub const EMPTY: Burst = Burst { next: BlockAddr(0), stride: 0, left: 0 };
+
+    /// The single prefetch `addr`.
+    pub fn one(addr: BlockAddr) -> Self {
+        Burst { next: addr, stride: 0, left: 1 }
+    }
+
+    /// Whether no prefetches remain.
+    pub fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+}
+
+impl Iterator for Burst {
+    type Item = BlockAddr;
+
+    #[inline]
+    fn next(&mut self) -> Option<BlockAddr> {
+        if self.left == 0 {
+            return None;
+        }
+        let addr = self.next;
+        self.next = addr.offset(self.stride);
+        self.left -= 1;
+        Some(addr)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::from(self.left), Some(usize::from(self.left)))
+    }
+}
+
+impl ExactSizeIterator for Burst {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,7 +142,8 @@ mod tests {
     fn startup_burst_contents() {
         let mut t = table(8);
         let burst = t.allocate(BlockAddr(100), 2, 3);
-        assert_eq!(burst, [102, 104, 106].map(BlockAddr).to_vec());
+        assert_eq!(burst.len(), 3);
+        assert_eq!(burst.collect::<Vec<_>>(), [102, 104, 106].map(BlockAddr).to_vec());
         assert_eq!(t.len(), 1);
     }
 
@@ -126,7 +172,7 @@ mod tests {
     fn negative_stride_streams() {
         let mut t = table(8);
         let burst = t.allocate(BlockAddr(100), -1, 2);
-        assert_eq!(burst, [99, 98].map(BlockAddr).to_vec());
+        assert_eq!(burst.collect::<Vec<_>>(), [99, 98].map(BlockAddr).to_vec());
         assert_eq!(t.advance(BlockAddr(99)), Some(BlockAddr(97)));
     }
 

@@ -18,7 +18,9 @@ fn bursts_respect_degree_and_stride() {
         let mut pf = StridePrefetcher::new(PrefetcherConfig::l1());
         let mut burst = Vec::new();
         for k in 0..4 {
-            burst = pf.on_miss(BlockAddr(start.wrapping_add((k * stride) as u64)), degree);
+            burst = pf
+                .on_miss(BlockAddr(start.wrapping_add((k * stride) as u64)), degree)
+                .collect();
         }
         let cap = degree.min(PrefetcherConfig::l1().startup_prefetches);
         prop_assert!(burst.len() <= usize::from(cap));

@@ -2,7 +2,7 @@
 
 use crate::data::DataStream;
 use crate::inst::InstStream;
-use crate::rng::Rng;
+use crate::rng::{Geometric, Rng};
 use crate::spec::WorkloadSpec;
 use cmpsim_cache::{AccessKind, BlockAddr};
 
@@ -78,6 +78,11 @@ struct PoolWalk {
 pub struct CoreGenerator {
     spec: WorkloadSpec,
     rng: Rng,
+    /// Instructions between data accesses (`spec.mem_ratio`).
+    data_gap: Geometric,
+    /// Sequential pool-walk run length in lines, minus one
+    /// (`spec.pool_run_mean`).
+    pool_run: Geometric,
     inst: InstStream,
     streams: Vec<DataStream>,
     next_stream: usize,
@@ -120,6 +125,8 @@ impl CoreGenerator {
         let mut g = CoreGenerator {
             spec: spec.clone(),
             rng,
+            data_gap: Geometric::new(spec.mem_ratio),
+            pool_run: Geometric::new(1.0 / spec.pool_run_mean.max(1.0)),
             inst,
             streams,
             next_stream: 0,
@@ -135,18 +142,18 @@ impl CoreGenerator {
     }
 
     fn sample_data_gap(&mut self) -> u64 {
-        self.rng.geometric(self.spec.mem_ratio)
+        self.data_gap.sample(&mut self.rng)
     }
 
     /// Next line of a pool walk: continues the current sequential run or
     /// re-seeds one in the tier selected by the caller.
-    fn walk(walk: &mut PoolWalk, rng: &mut Rng, base: u64, tier: u64, run_mean: f64) -> u64 {
+    fn walk(walk: &mut PoolWalk, rng: &mut Rng, base: u64, tier: u64, run: &Geometric) -> u64 {
         if walk.left == 0 || walk.tier != tier || walk.base != base {
             *walk = PoolWalk {
                 offset: rng.below(tier.max(1)),
                 tier: tier.max(1),
                 base,
-                left: 1 + rng.geometric(1.0 / run_mean.max(1.0)),
+                left: 1 + run.sample(rng),
             };
         }
         let line = base + walk.offset;
@@ -172,13 +179,12 @@ impl CoreGenerator {
             } else {
                 (2, r.lines)
             };
-            let run_mean = spec.pool_run_mean;
             let line = Self::walk(
                 &mut self.shared_walks[tier],
                 &mut self.rng,
                 r.base,
                 pool,
-                run_mean,
+                &self.pool_run,
             );
             (line, spec.shared_store_fraction)
         } else {
@@ -191,13 +197,12 @@ impl CoreGenerator {
             } else {
                 (2, r.lines)
             };
-            let run_mean = spec.pool_run_mean;
             let line = Self::walk(
                 &mut self.private_walks[tier],
                 &mut self.rng,
                 r.base,
                 pool,
-                run_mean,
+                &self.pool_run,
             );
             (line, spec.store_fraction)
         };

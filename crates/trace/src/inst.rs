@@ -7,7 +7,7 @@
 //! pressure (oltp's huge footprint gives it the paper's highest L1I
 //! prefetch rate, 13.5/1k instructions).
 
-use crate::rng::Rng;
+use crate::rng::{Geometric, Rng};
 use crate::spec::Region;
 
 /// Generator of successive instruction-line addresses.
@@ -16,7 +16,8 @@ pub struct InstStream {
     region: Region,
     hot_lines: u64,
     hot_fraction: f64,
-    run_mean: f64,
+    /// Sequential run length in lines, minus one.
+    run: Geometric,
     rng: Rng,
     offset: u64,
     run_left: u64,
@@ -30,7 +31,8 @@ impl InstStream {
             region,
             hot_lines: hot_lines.max(1),
             hot_fraction,
-            run_mean: run_mean.max(1.0),
+            // Mean run length `run_mean` ⇒ continue probability 1-1/mean.
+            run: Geometric::new(1.0 / run_mean.max(1.0)),
             rng,
             offset: 0,
             run_left: 0,
@@ -46,8 +48,7 @@ impl InstStream {
             self.region.lines
         };
         self.offset = self.rng.below(pool.max(1));
-        // Mean run length `run_mean` ⇒ continue probability 1-1/mean.
-        self.run_left = 1 + self.rng.geometric(1.0 / self.run_mean);
+        self.run_left = 1 + self.run.sample(&mut self.rng);
     }
 
     /// The line containing the next chunk of instructions; each call

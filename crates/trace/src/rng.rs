@@ -68,19 +68,6 @@ impl Rng {
         self.f64() < p
     }
 
-    /// Geometric gap: number of failures before a success with
-    /// probability `p`, i.e. instructions until the next event.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        if p <= 0.0 {
-            return u64::MAX / 2;
-        }
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Picks a random element of `items`.
     ///
     /// # Panics
@@ -89,6 +76,47 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// Geometric gap distribution: the number of failures before a success
+/// with probability `p`, i.e. instructions until the next event. `p` is
+/// fixed per stream, so `ln(1 - p)` is computed once here rather than
+/// on every draw.
+///
+/// # Examples
+///
+/// ```
+/// use cmpsim_trace::{Geometric, Rng};
+/// let gap = Geometric::new(0.25);
+/// let mut rng = Rng::new(1);
+/// let _instructions_until_next_event: u64 = gap.sample(&mut rng);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Geometric {
+    p: f64,
+    /// `ln(1 - p)`.
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// The distribution with success probability `p`.
+    pub fn new(p: f64) -> Self {
+        Geometric { p, ln_q: (1.0 - p).ln() }
+    }
+
+    /// One draw from `rng`. `p >= 1` always yields 0 and `p <= 0` a
+    /// practically infinite gap; neither consumes randomness.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        if self.p >= 1.0 {
+            return 0;
+        }
+        if self.p <= 0.0 {
+            return u64::MAX / 2;
+        }
+        let u = rng.f64().max(f64::MIN_POSITIVE);
+        (u.ln() / self.ln_q).floor() as u64
     }
 }
 
@@ -142,11 +170,21 @@ mod tests {
     fn geometric_mean_approx() {
         let mut r = Rng::new(5);
         let p = 0.25;
+        let g = Geometric::new(p);
         let n = 50_000;
-        let sum: u64 = (0..n).map(|_| r.geometric(p)).sum();
+        let sum: u64 = (0..n).map(|_| g.sample(&mut r)).sum();
         let mean = sum as f64 / n as f64;
         let expected = (1.0 - p) / p; // 3.0
         assert!((mean - expected).abs() < 0.1, "mean {mean} vs {expected}");
+    }
+
+    #[test]
+    fn geometric_degenerate_p_consumes_no_randomness() {
+        let mut r = Rng::new(5);
+        let mut untouched = r.clone();
+        assert_eq!(Geometric::new(1.0).sample(&mut r), 0);
+        assert_eq!(Geometric::new(0.0).sample(&mut r), u64::MAX / 2);
+        assert_eq!(r.next_u64(), untouched.next_u64());
     }
 
     #[test]

@@ -16,6 +16,15 @@
 //! digest doubles as the proof that routing every call site through the
 //! `Codec` trait left the default model bit-identical.
 //!
+//! The 4-core smoke grids are cold: their caches barely reach VSC
+//! eviction, victim tags and writebacks. A steady-state gate covers
+//! those paths: the paper's 8-core system with FPC, seed 11, the same 4
+//! headline variants at 200k warmup + 60k measured instructions per
+//! core, so the shared L2 is full before measurement
+//! (`tests/golden/grid_digest_steady.txt`). Its value equals the seed-11
+//! digest the benchmark records for the same grid
+//! (`cmpbench/data/table5_digests.txt`).
+//!
 //! Only fields that existed in the seed `RunResult` participate, so the
 //! digest stays comparable across PRs that add host-side measurement
 //! fields (wall-clock, dispatched-event counts). The `f64` field is
@@ -39,6 +48,7 @@ const VARIANTS: [Variant; 4] = [
 const CODEC_VARIANTS: [Variant; 2] = [Variant::BothCompression, Variant::PrefetchCompression];
 
 const GOLDEN_PATH: &str = "tests/golden/grid_digest.txt";
+const STEADY_GOLDEN_PATH: &str = "tests/golden/grid_digest_steady.txt";
 
 fn digest_grid(base: &SystemConfig, variants: &[Variant], len: SimLength) -> (String, usize) {
     let specs = all_workloads();
@@ -96,6 +106,16 @@ fn main() {
         println!("{codec} grid digest: {digest}  ({cells} cells)");
         ok &= gate(&format!("{codec} grid"), &digest, path, record);
     }
+
+    let t0 = Instant::now();
+    let steady = SystemConfig::paper_default(8).with_seed(11);
+    let steady_len = SimLength { warmup: 200_000, measure: 60_000 };
+    let (digest, cells) = digest_grid(&steady, &VARIANTS, steady_len);
+    println!(
+        "steady grid digest: {digest}  ({cells} cells in {:.2}s)",
+        t0.elapsed().as_secs_f64()
+    );
+    ok &= gate("steady grid", &digest, STEADY_GOLDEN_PATH, record);
 
     if !ok {
         std::process::exit(1);

@@ -36,10 +36,13 @@ CMPSIM_CHECK=1 cargo run -q --release --offline --example checked_smoke
 echo "== hot-path bit-identity gate (run_grid_serial vs seed golden) =="
 # The smoke grid's FNV-1a digest over every seed-era result field must
 # match tests/golden/grid_digest.txt, recorded from the pre-optimization
-# engine: the hot-path data structures (fastmap, event-pool free list,
-# word-parallel FPC sizing) must never change simulation results. The
-# same run also gates the BDI/ZCA smoke grids against the goldens
-# recorded when the pluggable codec suite landed.
+# engine: the hot-path data structures (fastmap, timing-wheel event
+# queue, flat tag arrays, word-parallel FPC sizing) must never change
+# simulation results. The same run also gates the BDI/ZCA smoke grids
+# against the goldens recorded when the pluggable codec suite landed,
+# and an 8-core steady-state grid (200k warmup + 60k measured
+# instructions per core, full shared L2: VSC eviction, victim tags,
+# writebacks) against tests/golden/grid_digest_steady.txt.
 cargo run -q --release --offline --example grid_digest
 
 echo "== tracing-inertness gate (grid digest under CMPSIM_TRACE=1) =="
