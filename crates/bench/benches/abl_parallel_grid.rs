@@ -1,14 +1,14 @@
-//! Ablation: serial vs parallel execution of the paper's 8×4 experiment
-//! grid (8 workloads × {base, compression, prefetching, both}).
+//! Ablation: one worker vs several for the paper's 8×4 experiment grid
+//! (8 workloads × {base, compression, prefetching, both}).
 //!
-//! Asserts bit-identical results at every thread count, then times both
-//! paths and writes wall-clock speedups to
+//! Asserts `run_grid` at 1, 2 and 8 threads is bit-identical to 1
+//! thread, then times each and writes wall-clock speedups to
 //! `target/bench/abl_parallel_grid.json`. Speedup saturates at the
 //! machine's core count (`hardware_threads` metric); on a single-core
 //! box every configuration measures ~1×.
 
 use cmpsim_bench::SEED;
-use cmpsim_core::experiment::{run_grid_parallel, run_grid_serial, SimLength};
+use cmpsim_core::experiment::{run_grid, GridCell, RunOptions, SimLength};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
 use cmpsim_harness::pool::default_threads;
@@ -36,26 +36,25 @@ fn main() {
 
     let mut r = Runner::new("abl_parallel_grid", 1, 3);
 
-    let reference = run_grid_serial(&specs, &base, &variants, len).unwrap();
+    let grid = |threads: usize| -> Vec<GridCell> {
+        run_grid(&specs, &base, &variants, len, &RunOptions::threads(threads))
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    };
+    let reference = grid(1);
     assert_eq!(reference.len(), specs.len() * variants.len());
 
-    let serial_ns = r
-        .bench("grid/serial", || run_grid_serial(&specs, &base, &variants, len).unwrap())
-        .median_ns;
+    let serial_ns = r.bench("grid/serial", || grid(1)).median_ns;
 
     for threads in [1usize, 2, 8] {
-        let cells = run_grid_parallel(&specs, &base, &variants, len, threads).unwrap();
-        assert_eq!(reference, cells, "parallel grid diverged at {threads} threads");
-        let par_ns = r
-            .bench(&format!("grid/parallel_{threads}t"), || {
-                run_grid_parallel(&specs, &base, &variants, len, threads).unwrap()
-            })
-            .median_ns;
+        assert_eq!(reference, grid(threads), "grid diverged at {threads} threads");
+        let par_ns = r.bench(&format!("grid/parallel_{threads}t"), || grid(threads)).median_ns;
         r.metric(&format!("grid_speedup_{threads}t"), serial_ns as f64 / par_ns as f64);
     }
 
     r.metric("hardware_threads", default_threads() as f64);
     r.metric("grid_cells", (specs.len() * variants.len()) as f64);
-    println!("parallel grid bit-identical to serial at 1, 2 and 8 threads");
+    println!("grid bit-identical to 1 thread at 1, 2 and 8 threads");
     r.write_json().expect("write bench artifact");
 }

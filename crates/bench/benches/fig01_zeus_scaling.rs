@@ -2,8 +2,7 @@
 //! adaptive prefetching, and prefetching+compression for zeus as the
 //! number of cores grows — the paper's motivating figure.
 
-use cmpsim_bench::{sim_length, SEED};
-use cmpsim_core::experiment::VariantGrid;
+use cmpsim_bench::{parallel_grids_for, sim_length, SEED};
 use cmpsim_core::report::{pct, Table};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_trace::workload;
@@ -14,8 +13,8 @@ fn main() {
     let mut t = Table::new(&["cores", "pf", "compr", "adaptive-pf", "pf+compr"]);
     for cores in [1u8, 2, 4, 8, 16] {
         let base = SystemConfig::paper_default(cores).with_seed(SEED);
-        let grid = VariantGrid::run(
-            &spec,
+        let (_, grid) = parallel_grids_for(
+            vec![spec.clone()],
             &base,
             &[
                 Variant::Base,
@@ -25,7 +24,8 @@ fn main() {
                 Variant::PrefetchCompression,
             ],
             len,
-        ).expect("simulation failed");
+        )
+        .remove(0);
         t.row(&[
             cores.to_string(),
             pct(grid.speedup_pct(Variant::Prefetch)),

@@ -2,34 +2,28 @@
 //! from 10 to 80 GB/s. The paper's claim: interaction is large when
 //! bandwidth is scarce and shrinks as it becomes plentiful.
 
-use cmpsim_bench::{sim_length, SEED};
-use cmpsim_core::experiment::VariantGrid;
+use cmpsim_bench::{parallel_grids, sim_length, SEED};
 use cmpsim_core::report::{pct, Table};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_link::LinkBandwidth;
-use cmpsim_trace::all_workloads;
 
 fn main() {
     let len = sim_length();
+    let variants =
+        [Variant::Base, Variant::Prefetch, Variant::BothCompression, Variant::PrefetchCompression];
+    let per_bandwidth: Vec<_> = [10u32, 20, 40, 80]
+        .into_iter()
+        .map(|bw| {
+            let base =
+                SystemConfig::paper_default(8).with_seed(SEED).with_link(LinkBandwidth::GBps(bw));
+            parallel_grids(&base, &variants, len)
+        })
+        .collect();
     let mut t = Table::new(&["bench", "10 GB/s", "20 GB/s", "40 GB/s", "80 GB/s"]);
-    for spec in all_workloads() {
+    for (i, (spec, _)) in per_bandwidth[0].iter().enumerate() {
         let mut cells = vec![spec.name.to_string()];
-        for bw in [10u32, 20, 40, 80] {
-            let base = SystemConfig::paper_default(8)
-                .with_seed(SEED)
-                .with_link(LinkBandwidth::GBps(bw));
-            let grid = VariantGrid::run(
-                &spec,
-                &base,
-                &[
-                    Variant::Base,
-                    Variant::Prefetch,
-                    Variant::BothCompression,
-                    Variant::PrefetchCompression,
-                ],
-                len,
-            ).expect("simulation failed");
-            cells.push(pct(grid.pf_compr_interaction() * 100.0));
+        for grids in &per_bandwidth {
+            cells.push(pct(grids[i].1.pf_compr_interaction() * 100.0));
         }
         t.row(&cells);
     }

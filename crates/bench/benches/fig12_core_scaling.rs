@@ -2,8 +2,7 @@
 //! under prefetching, adaptive prefetching, compression, and
 //! adaptive-prefetching+compression.
 
-use cmpsim_bench::{sim_length, SEED};
-use cmpsim_core::experiment::VariantGrid;
+use cmpsim_bench::{parallel_grids_for, sim_length, SEED};
 use cmpsim_core::report::{pct, Table};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_trace::workload;
@@ -16,8 +15,8 @@ fn main() {
             Table::new(&["cores", "pf", "adaptive-pf", "compr", "adaptive-pf+compr"]);
         for cores in [1u8, 2, 4, 8, 16] {
             let base = SystemConfig::paper_default(cores).with_seed(SEED);
-            let grid = VariantGrid::run(
-                &spec,
+            let (_, grid) = parallel_grids_for(
+                vec![spec.clone()],
                 &base,
                 &[
                     Variant::Base,
@@ -27,7 +26,8 @@ fn main() {
                     Variant::AdaptivePrefetchCompression,
                 ],
                 len,
-            ).expect("simulation failed");
+            )
+            .remove(0);
             t.row(&[
                 cores.to_string(),
                 pct(grid.speedup_pct(Variant::Prefetch)),

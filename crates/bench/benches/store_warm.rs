@@ -11,13 +11,13 @@
 //! used either way so "cold" is honest).
 
 use cmpsim_bench::SEED;
-use cmpsim_core::experiment::{run_grid_parallel_store, SimLength};
+use cmpsim_core::experiment::{run_grid, GridCell, RunOptions, SimLength};
 use cmpsim_core::report::grid_digest;
 use cmpsim_core::store::ResultStore;
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
-use cmpsim_harness::pool::default_threads;
 use cmpsim_trace::all_workloads;
+use std::sync::Arc;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] =
@@ -34,7 +34,6 @@ fn main() {
     };
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);
-    let threads = default_threads();
 
     let dir = std::env::temp_dir().join(format!("cmpsim-store-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -43,16 +42,20 @@ fn main() {
 
     let t0 = Instant::now();
     let cold_store = ResultStore::open(&dir);
-    let cold =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, len, threads, &cold_store)
+    let cold: Vec<GridCell> =
+        run_grid(&specs, &base, &VARIANTS, len, &RunOptions::default().with_store(cold_store))
+            .into_iter()
+            .collect::<Result<_, _>>()
             .expect("cold grid simulates");
     let cold_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let warm_store = ResultStore::open(&dir);
-    let warm =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, len, threads, &warm_store)
-            .expect("warm grid resolves");
+    let warm_opts = RunOptions::default().with_store(Arc::clone(&warm_store));
+    let warm: Vec<GridCell> = run_grid(&specs, &base, &VARIANTS, len, &warm_opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("warm grid resolves");
     let warm_secs = t1.elapsed().as_secs_f64();
 
     let warm_stats = warm_store.stats();

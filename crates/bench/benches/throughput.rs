@@ -11,7 +11,7 @@
 //! are comparable.
 
 use cmpsim_bench::SEED;
-use cmpsim_core::experiment::{run_grid_serial, GridCell, SimLength};
+use cmpsim_core::experiment::{run_grid, GridCell, RunOptions, SimLength};
 use cmpsim_core::report::{
     codec_throughput_summary, codec_throughput_table, measure_codec_throughput,
     throughput_summary,
@@ -46,7 +46,10 @@ fn main() {
         let label = format!("{variant:?}");
         let mut cells: Vec<GridCell> = Vec::new();
         r.bench_with(&format!("grid/{label}"), 1, 3, || {
-            cells = run_grid_serial(&specs, &base, &[variant], len).expect("simulation failed");
+            cells = run_grid(&specs, &base, &[variant], len, &RunOptions::threads(1))
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .expect("simulation failed");
             cells.len()
         });
         // Per-variant throughput from the engine's own counters, taken

@@ -1,8 +1,8 @@
 //! `cmpsim serve` — a sweep daemon in front of the content-addressed
 //! result store.
 //!
-//! Reads flat-JSON sweep requests one per line (the journal/store
-//! framing: string and integer values only) and streams back one JSONL
+//! Reads flat-JSON sweep requests one per line (the store framing:
+//! string and integer values only) and streams back one JSONL
 //! record per cell plus a summary with store hit/miss telemetry. Every
 //! sweep a daemon process handles shares one [`ResultStore`] handle, so
 //! two overlapping requests compute each shared cell exactly once (the
@@ -51,11 +51,12 @@
 //!   | CMPSIM_STORE=target/store cargo run --release -p cmpsim-bench --bin serve
 //! ```
 
-use cmpsim_core::experiment::{run_grid_parallel_store, SimLength};
+use cmpsim_core::experiment::{run_grid, RunOptions, SimLength};
 use cmpsim_core::flatjson::{parse_flat, JsonVal};
-use cmpsim_core::seallog::SealedLog;
+use cmpsim_core::record::fingerprint;
+use cmpsim_core::seallog::{SealedLog, ACCESS_LOG_HEADER};
 use cmpsim_core::store::{CellKey, ResultStore};
-use cmpsim_core::{journal, CodecKind, SystemConfig, Variant};
+use cmpsim_core::{CodecKind, SystemConfig, Variant};
 use cmpsim_harness::metrics::{self, Counter, Histogram};
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 use std::collections::HashMap;
@@ -136,8 +137,8 @@ impl Ctx {
              \"cells\":{cells},\"elapsed_us\":{elapsed_us}",
             self.conn,
         );
-        if let Err(e) = log.lock().unwrap_or_else(std::sync::PoisonError::into_inner).append(body)
-        {
+        let mut log = log.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Err(e) = log.append(body) {
             eprintln!("cmpsim serve: access log append failed: {e}");
         }
     }
@@ -216,7 +217,7 @@ fn serve_sweep(
     store: &Arc<ResultStore>,
     out: &mut dyn Write,
 ) -> std::io::Result<usize> {
-    let fp = journal::fingerprint(&req.base, req.len);
+    let fp = fingerprint(&req.base, req.len);
     // Label each cell's source up front with a counter-neutral probe, so
     // the summary's hit/miss telemetry reflects only the sweep itself.
     let stored_before: Vec<bool> = req
@@ -229,14 +230,9 @@ fn serve_sweep(
         })
         .collect();
     let before = store.stats();
-    let sweep_result = run_grid_parallel_store(
-        &req.specs,
-        &req.base,
-        &req.variants,
-        req.len,
-        req.threads,
-        store,
-    );
+    let opts = RunOptions::threads(req.threads).with_store(Arc::clone(store));
+    let sweep_result: Result<Vec<_>, _> =
+        run_grid(&req.specs, &req.base, &req.variants, req.len, &opts).into_iter().collect();
     let after = store.stats();
     let cells = match sweep_result {
         Ok(cells) => cells,
@@ -403,7 +399,7 @@ fn main() {
     let store = ResultStore::open_default();
     eprintln!("cmpsim serve: store at {}", store.dir().display());
     let serve_metrics = ServeMetrics::arm();
-    let log = access_log.and_then(|path| match SealedLog::open(&path) {
+    let log = access_log.and_then(|path| match SealedLog::open(&path, ACCESS_LOG_HEADER) {
         Ok(log) => {
             eprintln!("cmpsim serve: access log at {path}");
             Some(Arc::new(Mutex::new(log)))

@@ -5,9 +5,8 @@
 //! set and paper reference values defined here so EXPERIMENTS.md can be
 //! rebuilt with `cargo bench`.
 
-use cmpsim_core::experiment::{run_grid_parallel, SimLength, VariantGrid};
+use cmpsim_core::experiment::{run_grid, RunOptions, SimLength, VariantGrid};
 use cmpsim_core::{SystemConfig, Variant};
-use cmpsim_harness::pool::default_threads;
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 
 /// Paper reference values used in the `paper` columns of the harnesses.
@@ -38,12 +37,10 @@ fn env_u64(key: &str) -> Option<u64> {
 /// `workloads × variants` grid out across cores, and returns one
 /// [`VariantGrid`] per workload in presentation order.
 ///
-/// Results are bit-identical to calling `VariantGrid::run` per workload
-/// (see the determinism contract on
-/// [`run_grid_parallel`]); the figure/table
-/// harnesses use this so regenerating EXPERIMENTS.md scales with the
-/// machine. Thread count comes from `CMPSIM_THREADS` (default: all
-/// cores).
+/// Results are bit-identical at any thread count (see the determinism
+/// contract on [`run_grid`]); the figure/table harnesses use this so
+/// regenerating EXPERIMENTS.md scales with the machine. Thread count
+/// comes from `CMPSIM_THREADS` (default: all cores).
 pub fn parallel_grids(
     base: &SystemConfig,
     variants: &[Variant],
@@ -60,7 +57,9 @@ pub fn parallel_grids_for(
     variants: &[Variant],
     len: SimLength,
 ) -> Vec<(WorkloadSpec, VariantGrid)> {
-    let cells = run_grid_parallel(&specs, base, variants, len, default_threads())
+    let cells: Vec<_> = run_grid(&specs, base, variants, len, &RunOptions::default())
+        .into_iter()
+        .collect::<Result<_, _>>()
         .expect("simulation failed");
     // To stderr: stdout (the paper tables) must stay byte-identical
     // across thread counts and runs, and this line carries wall-clock.
@@ -69,9 +68,7 @@ pub fn parallel_grids_for(
         .into_iter()
         .zip(cells.chunks(variants.len()))
         .map(|(spec, chunk)| {
-            let grid =
-                VariantGrid::from_cells(chunk.iter().map(|c| (c.variant, c.result.clone())));
-            (spec, grid)
+            (spec, VariantGrid::from_cells(chunk.iter().cloned()))
         })
         .collect()
 }

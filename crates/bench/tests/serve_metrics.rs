@@ -123,7 +123,7 @@ fn killed_daemon_leaves_a_recoverable_access_log() {
     // record; wait until that append lands so the kill below tests
     // recovery, not scheduling.
     for _ in 0..200 {
-        if seallog::read(&log).map(|c| !c.records.is_empty()).unwrap_or(false) {
+        if seallog::read(&log, seallog::ACCESS_LOG_HEADER, 0).map(|c| !c.records.is_empty()).unwrap_or(false) {
             break;
         }
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -133,10 +133,10 @@ fn killed_daemon_leaves_a_recoverable_access_log() {
     child.kill().expect("SIGKILL the daemon");
     let _ = child.wait();
 
-    let got = seallog::read(&log).expect("killed daemon must leave a readable log");
-    assert_eq!(got.skipped, 0, "no half-written record may parse as corrupt");
+    let got = seallog::read(&log, seallog::ACCESS_LOG_HEADER, 0).expect("killed daemon must leave a readable log");
     assert!(!got.records.is_empty(), "the completed request was logged");
     for rec in &got.records {
+        let rec = rec.fields.as_ref().expect("no half-written record may parse as corrupt");
         let field = |k: &str| rec.iter().find(|(name, _)| name == k).map(|(_, v)| v.clone());
         assert_eq!(field("conn").and_then(|v| v.as_u64()), Some(1));
         assert!(field("req").and_then(|v| v.as_u64()).is_some());
@@ -153,7 +153,7 @@ fn killed_daemon_leaves_a_recoverable_access_log() {
     drop(stdin);
     let _ = child.wait();
 
-    let again = seallog::read(&log).expect("log still reads after restart");
+    let again = seallog::read(&log, seallog::ACCESS_LOG_HEADER, 0).expect("log still reads after restart");
     assert!(again.records.len() > records_before, "restart appended to the same log");
     assert!(!log.with_extension("jsonl.stale").exists() && !dir.join("access.jsonl.stale").exists());
 

@@ -4,7 +4,7 @@
 //! VSC accounting must fail *loudly and partially*: the run that hit it
 //! reports a [`SimError`] with a diagnostic dump, the surrounding sweep
 //! keeps going, and the per-cell failure surfaces as a [`CellError`] in
-//! `run_grid_resilient`'s output instead of poisoning the whole grid.
+//! `run_grid`'s output instead of poisoning the whole grid.
 
 use crate::config::Variant;
 
@@ -139,15 +139,15 @@ pub enum CellError {
         /// The underlying simulation error.
         error: SimError,
     },
-    /// The journal's quarantine list says this cell already failed
-    /// repeatedly in earlier runs, so resume skips it instead of
-    /// retrying forever. Delete (or reset) the journal to try again.
+    /// The result store holds failure records from earlier runs of this
+    /// cell, so the sweep skips it instead of retrying forever. Delete
+    /// the store's files for this configuration to try again.
     Quarantined {
         /// Workload of the quarantined cell.
         workload: &'static str,
         /// Variant of the quarantined cell.
         variant: Variant,
-        /// Failures recorded in the journal before quarantine.
+        /// Failures recorded in the store before quarantine.
         failures: u32,
     },
 }
@@ -192,8 +192,9 @@ impl std::fmt::Display for CellError {
             }
             CellError::Quarantined { workload, variant, failures } => write!(
                 f,
-                "cell ({workload}, {}) quarantined after {failures} journaled failure(s); \
-                 delete the journal to retry it",
+                "cell ({workload}, {}) quarantined after {failures} failure(s) recorded in \
+                 the result store; delete the store's files for this configuration to \
+                 retry it",
                 variant.label()
             ),
         }

@@ -1,14 +1,15 @@
 //! Experiment drivers: run the paper's configuration grid over a
-//! workload, with multiple seeds for confidence intervals, serially,
-//! fanned out across cores, or supervised with per-cell fault isolation
-//! and checkpoint/resume ([`run_grid_resilient`]).
+//! workload, with multiple seeds for confidence intervals. [`run_grid`]
+//! is the one grid driver: it fans cells out across supervised workers
+//! with per-cell fault isolation, and with a [`ResultStore`] it reuses
+//! stored cells, resumes killed sweeps and quarantines repeat failures.
 
 use crate::config::{SystemConfig, Variant};
 use crate::error::{CellError, SimError};
-use crate::journal::{self, Journal, JournalEntry};
 use crate::metrics;
+use crate::record;
 use crate::stats::RunResult;
-use crate::store::{CellKey, Lease, ResultStore};
+use crate::store::{CellKey, Lease, ResultStore, MAX_CELL_FAILURES};
 use crate::system::System;
 use cmpsim_harness::metrics as svc_metrics;
 use cmpsim_harness::metrics::{Counter, Gauge, Histogram};
@@ -16,11 +17,10 @@ use cmpsim_harness::telemetry::{progress_enabled, CellState, GridProgress, Heart
 use cmpsim_harness::{run_supervised, JobOutcome, Supervisor};
 use cmpsim_trace::WorkloadSpec;
 use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Service-metric handles for the grid drivers, registered in the global
+/// Service-metric handles for the grid driver, registered in the global
 /// [`svc_metrics`] registry under `grid_*` names. `None` when
 /// `CMPSIM_METRICS=0`. Observe-only, like [`GridProgress`]: recording
 /// feeds nothing back into scheduling or results.
@@ -28,7 +28,6 @@ struct GridMetrics {
     computed: Counter,
     cached: Counter,
     failed: Counter,
-    skipped: Counter,
     retries: Counter,
     quarantined: Counter,
     compute_nanos: Histogram,
@@ -45,7 +44,6 @@ impl GridMetrics {
             computed: r.counter("grid_cells_computed"),
             cached: r.counter("grid_cells_cached"),
             failed: r.counter("grid_cells_failed"),
-            skipped: r.counter("grid_cells_skipped"),
             retries: r.counter("grid_retries"),
             quarantined: r.counter("grid_cells_quarantined"),
             compute_nanos: r.histogram("grid_cell_compute_nanos"),
@@ -103,33 +101,15 @@ pub struct VariantGrid {
 }
 
 impl VariantGrid {
-    /// Assembles a grid from already-computed `(variant, result)` cells —
-    /// e.g. one workload's slice of a [`run_grid_parallel`] sweep.
-    pub fn from_cells(cells: impl IntoIterator<Item = (Variant, RunResult)>) -> Self {
-        VariantGrid { results: cells.into_iter().collect() }
-    }
-
-    /// Runs every variant in `variants` for `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SimError`] any cell hits.
-    pub fn run(
-        spec: &WorkloadSpec,
-        base: &SystemConfig,
-        variants: &[Variant],
-        len: SimLength,
-    ) -> Result<Self, SimError> {
-        let mut results = HashMap::new();
-        for &v in variants {
-            results.insert(v, run_variant(spec, base, v, len)?);
-        }
-        Ok(VariantGrid { results })
+    /// Assembles a grid from one workload's cells — e.g. its slice of a
+    /// [`run_grid`] sweep.
+    pub fn from_cells(cells: impl IntoIterator<Item = GridCell>) -> Self {
+        VariantGrid { results: cells.into_iter().map(|c| (c.variant, c.result)).collect() }
     }
 
     /// The result for a variant, if it was part of the grid. Use this in
     /// report/bench code that tolerates partial grids (e.g. cells lost to
-    /// a [`CellError`] in a resilient sweep).
+    /// a [`CellError`] in a sweep).
     pub fn try_get(&self, v: Variant) -> Option<&RunResult> {
         self.results.get(&v)
     }
@@ -178,244 +158,22 @@ pub struct GridCell {
     pub result: RunResult,
 }
 
-/// Runs the full `workloads × variants` grid serially, in row-major
-/// order (all variants of the first workload, then the second, ...).
-///
-/// This is the paper's 8×4 evaluation sweep when called with
-/// `all_workloads()` and the four headline variants.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any cell hits; use
-/// [`run_grid_resilient`] to keep the rest of the sweep instead.
-pub fn run_grid_serial(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-) -> Result<Vec<GridCell>, SimError> {
-    let mut cells = Vec::with_capacity(specs.len() * variants.len());
-    for spec in specs {
-        for &variant in variants {
-            cells.push(GridCell {
-                workload: spec.name,
-                variant,
-                seed: base.seed,
-                result: run_variant(spec, base, variant, len)?,
-            });
-        }
-    }
-    Ok(cells)
-}
-
-/// Runs the same grid as [`run_grid_serial`] with cells fanned out over
-/// `threads` workers, returning **bit-identical** results in the same
-/// row-major order.
-///
-/// Determinism contract: every cell is an independent pure function of
-/// `(spec, base, variant, len)` — each simulation owns its RNG streams
-/// (seeded from `base.seed`), its caches, and its counters, and no state
-/// is shared between cells. The pool only changes *when* a cell runs,
-/// never *what* it computes, so for any `threads >= 1`:
-///
-/// `run_grid_parallel(s, b, v, l, n) == run_grid_serial(s, b, v, l)`
-///
-/// `tests/determinism.rs` asserts this at 1, 2 and 8 threads.
-///
-/// # Errors
-///
-/// Propagates the first (row-major) [`SimError`] any cell hits.
-pub fn run_grid_parallel(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-) -> Result<Vec<GridCell>, SimError> {
-    run_grid_parallel_impl(specs, base, variants, len, threads, None)
-}
-
-/// [`run_grid_parallel`] consulting (and feeding) a content-addressed
-/// [`ResultStore`]: before scheduling, each cell is looked up under the
-/// sweep's structural [`journal::fingerprint`] and served from the store
-/// if present; only the delta is computed, and computed cells are
-/// published back. In-flight leases dedup against other sweeps sharing
-/// the same store handle, so two overlapping sweeps compute each shared
-/// cell exactly once.
-///
-/// The store is bit-inert: by the determinism contract above, a stored
-/// result is the exact bytes the cell would recompute, so warm and cold
-/// runs return identical grids (`tests/store.rs` pins this at 1/2/8
-/// threads, and the `store_gate` example extends the digest golden gate
-/// over it).
-///
-/// # Errors
-///
-/// Propagates the first (row-major) [`SimError`] any computed cell hits.
-pub fn run_grid_parallel_store(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-    store: &Arc<ResultStore>,
-) -> Result<Vec<GridCell>, SimError> {
-    run_grid_parallel_impl(specs, base, variants, len, threads, Some(store))
-}
-
-fn run_grid_parallel_impl(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-    store: Option<&Arc<ResultStore>>,
-) -> Result<Vec<GridCell>, SimError> {
-    let variants_n = variants.len();
-    let total = specs.len() * variants_n;
-    let fingerprint = store.map(|_| journal::fingerprint(base, len));
-    // Progress is observability only: workers mark cells with relaxed
-    // atomics, the heartbeat renders to stderr, and nothing feeds back
-    // into the results (the determinism contract above is untouched).
-    let progress = Arc::new(GridProgress::new(total, threads.max(1).min(total.max(1))));
-    let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&progress)));
-    let gm = GridMetrics::arm();
-
-    // Store consult happens before scheduling: hits never occupy a
-    // worker, so a 95%-warm sweep spends its threads on the 5% delta.
-    let mut prefilled: Vec<Option<GridCell>> = (0..total).map(|_| None).collect();
-    if let (Some(store), Some(fp)) = (store, fingerprint) {
-        for (si, spec) in specs.iter().enumerate() {
-            for (vi, &variant) in variants.iter().enumerate() {
-                let idx = si * variants_n + vi;
-                let key = CellKey::new(spec.name, variant, base.seed);
-                if let Some(result) = store.get(fp, &key) {
-                    prefilled[idx] =
-                        Some(GridCell { workload: spec.name, variant, seed: base.seed, result });
-                    progress.cell_cached(idx);
-                    if let Some(gm) = &gm {
-                        gm.cached.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    let progress_ref = &progress;
-    let prefilled_ref = &prefilled;
-    let gm_ref = &gm;
-    let jobs: Vec<_> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(si, spec)| {
-            variants.iter().enumerate().map(move |(vi, &variant)| {
-                let idx = si * variants_n + vi;
-                let progress = Arc::clone(progress_ref);
-                let store = store.map(Arc::clone);
-                let gm = gm_ref.clone();
-                (idx, move || {
-                    // An overlapping sweep may have produced (or started)
-                    // this cell since the pre-schedule consult; the lease
-                    // either serves its result or claims the compute.
-                    let mut lease = None;
-                    if let (Some(s), Some(fp)) = (&store, fingerprint) {
-                        let key = CellKey::new(spec.name, variant, base.seed);
-                        match s.lease(fp, &key) {
-                            Lease::Hit(result) => {
-                                progress.cell_cached(idx);
-                                if let Some(gm) = &gm {
-                                    gm.cached.inc();
-                                    gm.queue_depth.sub(1);
-                                }
-                                return Ok(GridCell {
-                                    workload: spec.name,
-                                    variant,
-                                    seed: base.seed,
-                                    result,
-                                });
-                            }
-                            Lease::Compute(l) => lease = Some(l),
-                        }
-                    }
-                    progress.cell_started(idx);
-                    let compute_start = Instant::now();
-                    let cell = run_variant(spec, base, variant, len).map(|result| GridCell {
-                        workload: spec.name,
-                        variant,
-                        seed: base.seed,
-                        result,
-                    });
-                    match &cell {
-                        Ok(c) => {
-                            progress.cell_finished(idx, true, c.result.events, c.result.host_nanos);
-                            if let Some(gm) = &gm {
-                                gm.computed.inc();
-                                gm.compute_nanos.record_elapsed(compute_start);
-                            }
-                            if let Some(l) = lease {
-                                if let Err(e) = l.publish(&c.result) {
-                                    eprintln!("cmpsim: store publish failed: {e}");
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            progress.cell_finished(idx, false, 0, 0);
-                            if let Some(gm) = &gm {
-                                gm.failed.inc();
-                            }
-                        }
-                    }
-                    if let Some(gm) = &gm {
-                        gm.queue_depth.sub(1);
-                    }
-                    cell
-                })
-            })
-        })
-        .filter(|(idx, _)| prefilled_ref[*idx].is_none())
-        .map(|(_, job)| job)
-        .collect();
-    if let Some(gm) = &gm {
-        gm.queue_depth.add(jobs.len() as u64);
-    }
-    let computed = cmpsim_harness::pool::run_indexed(threads, jobs);
-    drop(heartbeat);
-    // Merge computed cells back into row-major order around the store
-    // hits, propagating the first (row-major) error.
-    let mut computed = computed.into_iter();
-    let mut out = Vec::with_capacity(total);
-    for slot in prefilled {
-        match slot {
-            Some(cell) => out.push(cell),
-            None => out.push(computed.next().expect("one computed cell per scheduled job")?),
-        }
-    }
-    Ok(out)
-}
-
-/// Policy for a [`run_grid_resilient`] sweep: how cells are supervised
-/// and where (if anywhere) completed cells are journaled.
+/// Policy for a [`run_grid`] sweep.
 #[derive(Debug, Clone, Default)]
-pub struct ResilienceOptions {
-    /// Worker count, per-cell deadline (`CMPSIM_CELL_DEADLINE_MS`), and
-    /// retry policy.
+pub struct RunOptions {
+    /// Worker count (default `CMPSIM_THREADS`, else every core), per-cell
+    /// deadline (`CMPSIM_CELL_DEADLINE_MS`) and retry policy.
     pub supervisor: Supervisor,
-    /// Checkpoint journal path; `None` disables checkpointing. See
-    /// [`ResilienceOptions::default_journal_path`] for the conventional
-    /// location under `target/grid/`.
-    pub journal: Option<PathBuf>,
-    /// Content-addressed result store consulted before scheduling each
-    /// cell and fed as cells complete; `None` disables store reuse.
-    /// Unlike the journal (one sweep's checkpoint), the store is shared
-    /// across sweeps, configs and processes.
+    /// Result store consulted before scheduling each cell, fed as cells
+    /// complete, and holding the failure records that quarantine repeat
+    /// offenders; `None` computes every cell.
     pub store: Option<Arc<ResultStore>>,
 }
 
-impl ResilienceOptions {
-    /// Returns a copy journaling to `path`.
-    pub fn with_journal(mut self, path: impl Into<PathBuf>) -> Self {
-        self.journal = Some(path.into());
-        self
+impl RunOptions {
+    /// The default policy on `threads` workers, without a store.
+    pub fn threads(threads: usize) -> Self {
+        RunOptions { supervisor: Supervisor::with_threads(threads), store: None }
     }
 
     /// Returns a copy consulting (and feeding) `store`.
@@ -423,52 +181,58 @@ impl ResilienceOptions {
         self.store = Some(store);
         self
     }
-
-    /// The conventional journal location for a named sweep:
-    /// `target/grid/<sweep>.jsonl` (overridable via `CMPSIM_GRID_DIR`).
-    pub fn default_journal_path(sweep: &str) -> PathBuf {
-        journal::default_journal_dir().join(format!("{sweep}.jsonl"))
-    }
 }
 
-/// Runs the `workloads × variants` grid under full supervision: each
-/// cell executes in its own watchdogged worker, and a panicking, hanging
-/// or [`SimError`]-failing cell degrades to an `Err` in its slot while
-/// every other cell completes. Results come back in row-major order,
-/// like [`run_grid_serial`].
+/// Runs the `workloads × variants` grid and returns one result per cell
+/// in row-major order (all variants of the first workload, then the
+/// second, ...). This is the paper's 8×4 evaluation sweep when called
+/// with `all_workloads()` and the four headline variants.
 ///
-/// With `opts.journal` set, completed cells are appended to a checkpoint
-/// journal *as they finish*; re-invoking with the same journal (same
-/// base config and length — see [`journal::fingerprint`]) skips them and
-/// returns bit-identical results, so a sweep killed mid-run resumes
-/// where it left off. `tests/resilience.rs` asserts both properties.
-pub fn run_grid_resilient(
+/// Each cell runs on its own supervised worker: a panicking, hanging or
+/// [`SimError`]-failing cell degrades to an `Err` in its slot while every
+/// other cell completes.
+///
+/// **Determinism.** Every cell is an independent pure function of
+/// `(spec, base, variant, len)` — each simulation owns its RNG streams
+/// (seeded from `base.seed`), its caches and its counters. The worker
+/// count only changes *when* a cell runs, never *what* it computes, so
+/// the results are bit-identical at any thread count;
+/// `tests/determinism.rs` asserts this at 1, 2 and 8 threads.
+///
+/// **Store.** With `opts.store`, each cell is looked up under the
+/// sweep's [`record::fingerprint`] before scheduling and served if
+/// present; only the delta is computed, and each computed cell is
+/// published the moment it finishes. The store is bit-inert (a stored
+/// result is the exact bytes the cell would recompute), so:
+///
+/// - re-running a killed sweep against the same store resumes it: only
+///   the cells that had not finished run, and the grid equals an
+///   uninterrupted one;
+/// - overlapping sweeps sharing a store handle compute each shared cell
+///   exactly once (in-flight leases);
+/// - each failed cell leaves a failure record, and a cell with
+///   [`MAX_CELL_FAILURES`] of them comes back as
+///   [`CellError::Quarantined`] without running.
+pub fn run_grid(
     specs: &[WorkloadSpec],
     base: &SystemConfig,
     variants: &[Variant],
     len: SimLength,
-    opts: &ResilienceOptions,
+    opts: &RunOptions,
 ) -> Vec<Result<GridCell, CellError>> {
-    run_cells_resilient(
-        specs,
-        base,
-        variants,
-        journal::fingerprint(base, len),
-        opts,
-        move |spec, base, variant| run_variant(spec, base, variant, len),
-    )
+    run_grid_with(specs, base, variants, len, opts, move |spec, base, variant| {
+        run_variant(spec, base, variant, len)
+    })
 }
 
-/// The engine under [`run_grid_resilient`], parameterized over the cell
-/// function so tests can inject faulty cells (panics, hangs, errors).
-/// `fingerprint` guards the journal against resuming under a different
-/// sweep definition.
-pub fn run_cells_resilient<F>(
+/// [`run_grid`] with the cell function as a parameter, so tests can
+/// inject faulty cells (panics, hangs, errors) or count calls.
+pub fn run_grid_with<F>(
     specs: &[WorkloadSpec],
     base: &SystemConfig,
     variants: &[Variant],
-    fingerprint: u64,
-    opts: &ResilienceOptions,
+    len: SimLength,
+    opts: &RunOptions,
     cell_fn: F,
 ) -> Vec<Result<GridCell, CellError>>
 where
@@ -477,208 +241,137 @@ where
         + Sync
         + 'static,
 {
-    let journal = opts
-        .journal
-        .as_ref()
-        .map(|p| Arc::new(Mutex::new(Journal::new(p, fingerprint))));
-
-    // Cells already in the journal are reused, not re-run; cells the
-    // journal records as repeatedly failing are quarantined outright.
-    let mut completed: HashMap<(String, Variant), RunResult> = HashMap::new();
-    let mut quarantined: HashMap<(String, Variant), u32> = HashMap::new();
-    if let Some(j) = &journal {
-        let snapshot = lock_journal(j).load().unwrap_or_else(|e| {
-            eprintln!("cmpsim: could not read journal: {e}; starting fresh");
-            journal::JournalSnapshot::default()
-        });
-        if let Some(p) = &opts.journal {
-            if snapshot.repaired_tail {
-                eprintln!(
-                    "cmpsim: journal {}: torn tail truncated (writer was killed mid-append); \
-                     the torn cell will re-run",
-                    p.display()
-                );
-            }
-            for (line, reason) in &snapshot.skipped {
-                eprintln!(
-                    "cmpsim: journal {}:{line}: {reason}; cell will re-run",
-                    p.display()
-                );
-            }
-        }
-        for e in snapshot.entries {
-            if e.seed == base.seed {
-                completed.insert((e.workload, e.variant), e.result);
-            }
-        }
-        for ((workload, variant, seed), failures) in &snapshot.failures {
-            if *seed == base.seed && *failures >= journal::MAX_CELL_FAILURES {
-                quarantined.insert((workload.clone(), *variant), *failures);
-            }
-        }
-    }
-
     let n = specs.len() * variants.len();
-    let mut out: Vec<Option<Result<GridCell, CellError>>> = (0..n).map(|_| None).collect();
-    let cell_fn = Arc::new(cell_fn);
-    let mut jobs = Vec::new();
-    let mut job_slots: Vec<(usize, &'static str, Variant)> = Vec::new();
-    // Progress is observability only; journal-skipped cells count as done
-    // immediately, supervised retries show up as `retrying` (a second
-    // `cell_started` on the same slot).
+    // Progress is observability only: workers mark cells with relaxed
+    // atomics, the heartbeat renders to stderr, and nothing feeds back
+    // into the results.
     let workers = opts.supervisor.threads.max(1);
     let progress = Arc::new(GridProgress::new(n, workers.min(n.max(1))));
     let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&progress)));
-    let gm = GridMetrics::arm();
+    let out = run_cells(specs, base, variants, len, opts, cell_fn, &progress);
+    drop(heartbeat);
+    out
+}
 
-    let mut idx = 0usize;
+/// The engine under [`run_grid_with`], reporting into `progress`.
+fn run_cells<F>(
+    specs: &[WorkloadSpec],
+    base: &SystemConfig,
+    variants: &[Variant],
+    len: SimLength,
+    opts: &RunOptions,
+    cell_fn: F,
+    progress: &Arc<GridProgress>,
+) -> Vec<Result<GridCell, CellError>>
+where
+    F: Fn(&WorkloadSpec, &SystemConfig, Variant) -> Result<RunResult, SimError>
+        + Send
+        + Sync
+        + 'static,
+{
+    let fp = record::fingerprint(base, len);
+    let seed = base.seed;
+    let cell = |workload, variant, result| GridCell { workload, variant, seed, result };
+    let gm = GridMetrics::arm();
+    let cell_fn = Arc::new(cell_fn);
+    let mut out: Vec<Option<Result<GridCell, CellError>>> = Vec::new();
+    let mut jobs = Vec::new();
+    let mut job_slots: Vec<(usize, &'static str, Variant)> = Vec::new();
+
     for spec in specs {
         for &variant in variants {
-            if let Some(result) = completed.get(&(spec.name.to_string(), variant)) {
-                out[idx] = Some(Ok(GridCell {
-                    workload: spec.name,
-                    variant,
-                    seed: base.seed,
-                    result: result.clone(),
-                }));
-                progress.cell_skipped(idx);
-                if let Some(gm) = &gm {
-                    gm.skipped.inc();
+            let idx = out.len();
+            let key = CellKey::new(spec.name, variant, seed);
+            // Store consult happens before scheduling: hits and
+            // quarantined cells never occupy a worker.
+            if let Some(store) = &opts.store {
+                if let Some(result) = store.get(fp, &key) {
+                    out.push(Some(Ok(cell(spec.name, variant, result))));
+                    progress.cell_cached(idx);
+                    if let Some(gm) = &gm {
+                        gm.cached.inc();
+                    }
+                    continue;
                 }
-            } else if let Some(&failures) = quarantined.get(&(spec.name.to_string(), variant))
-            {
-                out[idx] = Some(Err(CellError::Quarantined {
-                    workload: spec.name,
-                    variant,
-                    failures,
-                }));
-                progress.cell_skipped(idx);
-                if let Some(gm) = &gm {
-                    gm.quarantined.inc();
-                }
-            } else if let Some(result) = opts
-                .store
-                .as_ref()
-                .and_then(|s| s.get(fingerprint, &CellKey::new(spec.name, variant, base.seed)))
-            {
-                // Store hit: the cell is never scheduled. Mirror it into
-                // this sweep's journal so a later resume stays complete
-                // even without the store.
-                if let Some(j) = &journal {
-                    let entry = JournalEntry {
-                        workload: spec.name.to_string(),
+                let failures = store.failures(fp, &key);
+                if failures >= MAX_CELL_FAILURES {
+                    out.push(Some(Err(CellError::Quarantined {
+                        workload: spec.name,
                         variant,
-                        seed: base.seed,
-                        result: result.clone(),
-                    };
-                    if let Err(e) = lock_journal(j).append(&entry) {
-                        eprintln!("cmpsim: journal append failed: {e}");
-                    }
-                }
-                out[idx] = Some(Ok(GridCell {
-                    workload: spec.name,
-                    variant,
-                    seed: base.seed,
-                    result,
-                }));
-                progress.cell_cached(idx);
-                if let Some(gm) = &gm {
-                    gm.cached.inc();
-                }
-            } else {
-                job_slots.push((idx, spec.name, variant));
-                let spec = spec.clone();
-                let base = base.clone();
-                let cell_fn = Arc::clone(&cell_fn);
-                let journal = journal.clone();
-                let store = opts.store.clone();
-                let progress = Arc::clone(&progress);
-                let gm = gm.clone();
-                jobs.push(move || -> Result<RunResult, SimError> {
-                    // A sweep overlapping on the same store may have
-                    // produced (or be producing) this cell; take a lease
-                    // so each shared cell is computed exactly once.
-                    let mut lease = None;
-                    if let Some(s) = &store {
-                        let key = CellKey::new(spec.name, variant, base.seed);
-                        match s.lease(fingerprint, &key) {
-                            Lease::Hit(result) => {
-                                progress.cell_cached(idx);
-                                if let Some(gm) = &gm {
-                                    gm.cached.inc();
-                                    gm.queue_depth.sub(1);
-                                }
-                                if let Some(j) = &journal {
-                                    let entry = JournalEntry {
-                                        workload: spec.name.to_string(),
-                                        variant,
-                                        seed: base.seed,
-                                        result: result.clone(),
-                                    };
-                                    if let Err(e) = lock_journal(j).append(&entry) {
-                                        eprintln!("cmpsim: journal append failed: {e}");
-                                    }
-                                }
-                                return Ok(result);
-                            }
-                            Lease::Compute(l) => lease = Some(l),
-                        }
-                    }
-                    // A supervised retry re-enters this body with the slot
-                    // already marked Running/Retrying: that re-entry is the
-                    // retry the `grid_retries` counter tallies.
+                        failures,
+                    })));
+                    progress.cell_finished(idx, false, 0, 0);
                     if let Some(gm) = &gm {
-                        if matches!(
-                            progress.state(idx),
-                            CellState::Running | CellState::Retrying
-                        ) {
-                            gm.retries.inc();
-                        }
+                        gm.quarantined.inc();
                     }
-                    progress.cell_started(idx);
-                    let compute_start = Instant::now();
-                    let result = cell_fn(&spec, &base, variant);
-                    match &result {
-                        Ok(r) => {
-                            progress.cell_finished(idx, true, r.events, r.host_nanos);
-                            if let Some(gm) = &gm {
-                                gm.computed.inc();
-                                gm.compute_nanos.record_elapsed(compute_start);
-                            }
-                        }
-                        Err(_) => {
-                            progress.cell_finished(idx, false, 0, 0);
-                            if let Some(gm) = &gm {
-                                gm.failed.inc();
-                            }
-                        }
-                    }
-                    if let Some(gm) = &gm {
-                        gm.queue_depth.sub(1);
-                    }
-                    let result = result?;
-                    if let Some(l) = lease {
-                        if let Err(e) = l.publish(&result) {
-                            eprintln!("cmpsim: store publish failed: {e}");
-                        }
-                    }
-                    // Journal inside the job so a later kill loses only
-                    // cells that had not finished.
-                    if let Some(j) = &journal {
-                        let entry = JournalEntry {
-                            workload: spec.name.to_string(),
-                            variant,
-                            seed: base.seed,
-                            result: result.clone(),
-                        };
-                        if let Err(e) = lock_journal(j).append(&entry) {
-                            eprintln!("cmpsim: journal append failed: {e}");
-                        }
-                    }
-                    Ok(result)
-                });
+                    continue;
+                }
             }
-            idx += 1;
+            out.push(None);
+            job_slots.push((idx, spec.name, variant));
+            let spec = spec.clone();
+            let base = base.clone();
+            let cell_fn = Arc::clone(&cell_fn);
+            let store = opts.store.clone();
+            let progress = Arc::clone(progress);
+            let gm = gm.clone();
+            jobs.push(move || -> Result<RunResult, SimError> {
+                // An overlapping sweep on the same store may have
+                // produced (or be producing) this cell since the consult
+                // above; the lease either serves its result or claims
+                // the compute, so each shared cell is computed once.
+                let mut lease = None;
+                if let Some(s) = &store {
+                    match s.lease(fp, &key) {
+                        Lease::Hit(result) => {
+                            progress.cell_cached(idx);
+                            if let Some(gm) = &gm {
+                                gm.cached.inc();
+                                gm.queue_depth.sub(1);
+                            }
+                            return Ok(result);
+                        }
+                        Lease::Compute(l) => lease = Some(l),
+                    }
+                }
+                // A supervised retry re-enters this body with the slot
+                // already marked Running/Retrying: that re-entry is the
+                // retry the `grid_retries` counter tallies.
+                if let Some(gm) = &gm {
+                    if matches!(progress.state(idx), CellState::Running | CellState::Retrying) {
+                        gm.retries.inc();
+                    }
+                }
+                progress.cell_started(idx);
+                let compute_start = Instant::now();
+                let result = cell_fn(&spec, &base, variant);
+                match &result {
+                    Ok(r) => {
+                        progress.cell_finished(idx, true, r.events, r.host_nanos);
+                        if let Some(gm) = &gm {
+                            gm.computed.inc();
+                            gm.compute_nanos.record_elapsed(compute_start);
+                        }
+                    }
+                    Err(_) => {
+                        progress.cell_finished(idx, false, 0, 0);
+                        if let Some(gm) = &gm {
+                            gm.failed.inc();
+                        }
+                    }
+                }
+                if let Some(gm) = &gm {
+                    gm.queue_depth.sub(1);
+                }
+                // Publish inside the job so a later kill loses only
+                // cells that had not finished.
+                if let (Ok(r), Some(l)) = (&result, lease) {
+                    if let Err(e) = l.publish(r) {
+                        eprintln!("cmpsim: store publish failed: {e}");
+                    }
+                }
+                result
+            });
         }
     }
 
@@ -691,10 +384,8 @@ where
         // settle them here so the final status line accounts for every
         // cell. (An abandoned timed-out thread may still be running, but
         // progress is display-only state and feeds nothing back.)
-        if !matches!(
-            progress.state(slot),
-            CellState::Done | CellState::Failed | CellState::Cached
-        ) {
+        if !matches!(progress.state(slot), CellState::Done | CellState::Failed | CellState::Cached)
+        {
             progress.cell_finished(slot, false, 0, 0);
             if let Some(gm) = &gm {
                 gm.failed.inc();
@@ -702,9 +393,7 @@ where
             }
         }
         let resolved = match outcome {
-            JobOutcome::Ok(Ok(result)) => {
-                Ok(GridCell { workload, variant, seed: base.seed, result })
-            }
+            JobOutcome::Ok(Ok(result)) => Ok(cell(workload, variant, result)),
             JobOutcome::Ok(Err(error)) => Err(CellError::Sim { workload, variant, error }),
             JobOutcome::Panicked { payload, attempts } => {
                 Err(CellError::Panicked { workload, variant, payload, attempts })
@@ -715,26 +404,17 @@ where
                 elapsed_ms: elapsed.as_millis() as u64,
             }),
         };
-        if let (Err(err), Some(j)) = (&resolved, &journal) {
-            // Journal the failure so repeated offenders are quarantined
-            // on the next resume instead of retried forever.
-            if let Err(e) =
-                lock_journal(j).append_failure(workload, variant, base.seed, &err.to_string())
-            {
-                eprintln!("cmpsim: journal failure append failed: {e}");
+        if let (Err(err), Some(store)) = (&resolved, &opts.store) {
+            // Record the failure so a repeat offender is quarantined on
+            // a later sweep instead of retried forever.
+            let key = CellKey::new(workload, variant, seed);
+            if let Err(e) = store.record_failure(fp, &key, &err.to_string()) {
+                eprintln!("cmpsim: store failure record failed: {e}");
             }
         }
         out[slot] = Some(resolved);
     }
-    drop(heartbeat);
     out.into_iter().map(|o| o.expect("every cell resolved")).collect()
-}
-
-/// Locks the shared journal, surviving a poisoned mutex (a panic in a
-/// supervised job cannot be allowed to wedge checkpointing for the rest
-/// of the sweep).
-fn lock_journal(j: &Arc<Mutex<Journal>>) -> std::sync::MutexGuard<'_, Journal> {
-    j.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Mean ± 95% CI of a per-seed metric.
@@ -775,17 +455,21 @@ mod tests {
     use super::*;
     use cmpsim_trace::workload;
 
+    fn grid(variants: &[Variant], len: SimLength) -> VariantGrid {
+        let spec = workload("apsi").unwrap();
+        let base = SystemConfig::paper_default(1);
+        let cells = run_grid(&[spec], &base, variants, len, &RunOptions::threads(1));
+        VariantGrid::from_cells(cells.into_iter().map(|c| c.expect("smoke grid simulates")))
+    }
+
     #[test]
     fn grid_runs_and_exposes_speedups() {
         let spec = workload("apsi").unwrap();
         let base = SystemConfig::paper_default(2);
-        let grid = VariantGrid::run(
-            &spec,
-            &base,
-            &[Variant::Base, Variant::BothCompression],
-            SimLength { warmup: 5_000, measure: 20_000 },
-        )
-        .expect("smoke grid simulates");
+        let variants = [Variant::Base, Variant::BothCompression];
+        let len = SimLength { warmup: 5_000, measure: 20_000 };
+        let cells = run_grid(&[spec], &base, &variants, len, &RunOptions::threads(2));
+        let grid = VariantGrid::from_cells(cells.into_iter().map(Result::unwrap));
         let s = grid.speedup(Variant::BothCompression);
         assert!(s > 0.5 && s < 2.0, "speedup {s} out of plausible range");
         assert_eq!(grid.speedup(Variant::Base), 1.0);
@@ -800,33 +484,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_grid_matches_serial() {
-        let specs: Vec<_> =
-            ["apsi", "mgrid"].iter().map(|n| workload(n).unwrap()).collect();
-        let base = SystemConfig::paper_default(2);
-        let variants = [Variant::Base, Variant::PrefetchCompression];
-        let len = SimLength { warmup: 2_000, measure: 8_000 };
-        let serial = run_grid_serial(&specs, &base, &variants, len).unwrap();
-        assert_eq!(serial.len(), 4);
-        assert_eq!(serial[0].workload, "apsi");
-        assert_eq!(serial[1].variant, Variant::PrefetchCompression);
-        for threads in [1, 2, 8] {
-            let par = run_grid_parallel(&specs, &base, &variants, len, threads).unwrap();
-            assert_eq!(serial, par, "parallel grid diverged at {threads} threads");
-        }
-    }
-
-    #[test]
     fn try_get_reports_missing_variants() {
-        let spec = workload("apsi").unwrap();
-        let base = SystemConfig::paper_default(1);
-        let grid = VariantGrid::run(
-            &spec,
-            &base,
-            &[Variant::Base],
-            SimLength { warmup: 1_000, measure: 5_000 },
-        )
-        .unwrap();
+        let grid = grid(&[Variant::Base], SimLength { warmup: 1_000, measure: 5_000 });
         assert!(grid.try_get(Variant::Base).is_some());
         assert!(grid.try_get(Variant::Prefetch).is_none());
     }
@@ -834,15 +493,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in grid")]
     fn missing_variant_panics() {
-        let spec = workload("apsi").unwrap();
-        let base = SystemConfig::paper_default(1);
-        let grid = VariantGrid::run(
-            &spec,
-            &base,
-            &[Variant::Base],
-            SimLength { warmup: 1_000, measure: 5_000 },
-        )
-        .unwrap();
+        let grid = grid(&[Variant::Base], SimLength { warmup: 1_000, measure: 5_000 });
         grid.get(Variant::Prefetch);
+    }
+
+    /// Regression: a quarantined cell is settled as *failed*, so the
+    /// heartbeat's final line never reports a sweep that returned
+    /// `CellError::Quarantined` as fully done.
+    #[test]
+    fn quarantined_cells_count_as_failed_in_the_final_line() {
+        let dir = std::env::temp_dir()
+            .join(format!("cmpsim-experiment-quarantine-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        let specs = [workload("apsi").unwrap()];
+        let base = SystemConfig::paper_default(1);
+        let len = SimLength { warmup: 1_000, measure: 5_000 };
+        let key = CellKey::new("apsi", Variant::Base, base.seed);
+        for _ in 0..MAX_CELL_FAILURES {
+            store.record_failure(record::fingerprint(&base, len), &key, "injected").unwrap();
+        }
+        let opts = RunOptions::threads(1).with_store(store);
+        let progress = Arc::new(GridProgress::new(2, 1));
+        let out = run_cells(
+            &specs,
+            &base,
+            &[Variant::Base, Variant::Prefetch],
+            len,
+            &opts,
+            move |s, b, v| run_variant(s, b, v, len),
+            &progress,
+        );
+        assert!(matches!(out[0], Err(CellError::Quarantined { .. })), "{:?}", out[0]);
+        assert!(out[1].is_ok());
+        let line = progress.final_line();
+        assert!(line.starts_with("grid complete: 2/2 cells"), "{line}");
+        assert!(line.contains("1 failed"), "{line}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,8 @@
-//! Flat-JSON record framing shared by the checkpoint journal and the
-//! content-addressed result store (and by the `serve` daemon's request
-//! parser).
+//! Flat-JSON record framing shared by every sealed file ([`seallog`]
+//! (crate::seallog): the result store and the serve access log) and by
+//! the `serve` daemon's request parser.
 //!
-//! Both on-disk formats are append-only JSONL files of *flat* objects —
+//! The on-disk files are append-only JSONL files of *flat* objects —
 //! string and `u64` values only, no nesting, no escapes, no floats
 //! (`f64`s travel as IEEE-754 bit patterns under `.bits` keys) — so one
 //! hand-rolled parser covers every consumer and the workspace stays

@@ -35,19 +35,17 @@
 //!
 //! Runs are supervised: [`System::run`] returns `Err(`[`SimError`]`)` if
 //! the forward-progress watchdog detects a livelock or (with
-//! `CMPSIM_CHECK=1`) a sampled structural invariant fails, and the
-//! [`experiment`] grid drivers either propagate that ([`experiment::
-//! run_grid_serial`]) or degrade it to a per-cell
-//! [`CellError`] while the rest of the sweep completes
-//! ([`experiment::run_grid_resilient`]).
+//! `CMPSIM_CHECK=1`) a sampled structural invariant fails, and the grid
+//! driver [`experiment::run_grid`] degrades that to a per-cell
+//! [`CellError`] while the rest of the sweep completes.
 
 mod config;
 mod core_model;
 pub mod error;
 pub mod experiment;
 pub mod flatjson;
-pub mod journal;
 pub mod metrics;
+pub mod record;
 pub mod report;
 pub mod seallog;
 mod stats;

@@ -1,36 +1,42 @@
-//! Persistent, content-addressed experiment result store.
+//! Persistent, content-addressed experiment result store — the only
+//! persistence of grid sweeps.
 //!
-//! Where the checkpoint [`journal`](crate::journal) makes *one* sweep
-//! resumable, the store makes results reusable **across** sweeps,
-//! processes and days: every completed cell is addressed by
-//! `(structural config fingerprint, workload, variant, seed)` — with the
-//! simulation length folded into the fingerprint — and a sweep consults
-//! the store before scheduling each cell, computes only the delta, and
-//! publishes what it computed. A million-cell sweep whose cells mostly
-//! exist already finishes in the time it takes to read them back, and
-//! two overlapping sweeps share work instead of repeating it.
+//! Every completed cell is addressed by `(structural config fingerprint,
+//! workload, variant, seed)` — with the simulation length folded into the
+//! fingerprint ([`record::fingerprint`]) — and [`run_grid`]
+//! (crate::experiment::run_grid) consults the store before scheduling
+//! each cell, computes only the delta, and publishes each computed cell
+//! the moment it finishes. That one mechanism gives:
+//!
+//! - **reuse** across sweeps, processes and days: a sweep whose cells
+//!   mostly exist finishes in the time it takes to read them back, and
+//!   overlapping sweeps share work instead of repeating it;
+//! - **resume**: a sweep killed mid-run is resumed by running it again
+//!   against the same store — only the cells that had not finished run;
+//! - **quarantine**: a failed cell leaves a failure record, and a cell
+//!   with [`MAX_CELL_FAILURES`] of them is reported as
+//!   [`CellError::Quarantined`](crate::CellError::Quarantined) instead of
+//!   being retried forever.
 //!
 //! On-disk layout (under [`default_store_dir`], overridable via
-//! `CMPSIM_STORE`):
+//! `CMPSIM_STORE`), every file a [`seallog`] sealed file:
 //!
 //! ```text
 //! target/store/
-//!   <fingerprint>.jsonl   # data: header + CRC-sealed cell records
-//!   <fingerprint>.idx     # index: one "key → byte offset/len" line per record
+//!   <fingerprint>.jsonl   # data: cell and failure records
+//!   <fingerprint>.idx     # index: key → byte range, one entry per record
 //!   lru.jsonl             # logical-clock touch records driving eviction
 //! ```
 //!
-//! The data file reuses the journal's framing byte-for-byte: a
-//! `{"cmpsim_store":…,"fingerprint":"…"}` header (tempfile + atomic
-//! rename) followed by one sealed record per cell, each carrying an
-//! FNV-1a-32 `crc` so in-place corruption is detected and the cell
-//! recomputed rather than silently served wrong. The `.idx` sidecar
-//! makes a cold lookup O(1): one line per record mapping the cell key to
-//! the record's byte range, so a hit reads *only that record* from the
-//! data file. The index is disposable — if it is missing, stale (a crash
-//! between the data append and the index append) or lies (its range
-//! fails the CRC), the store falls back to scanning the data file and
-//! rewrites the index.
+//! Data records carry an FNV-1a-32 `crc`, so in-place corruption is
+//! detected and the cell recomputed rather than silently served wrong.
+//! The `.idx` sidecar makes a cold lookup O(1): a hit reads *only that
+//! record* from the data file. The index is disposable — if it is
+//! missing, behind the data file (a crash between the two appends) or
+//! lies (its range fails the CRC or names another cell), the store falls
+//! back to scanning the data file and rewrites the index. Torn tails
+//! follow the one [`seallog`] policy: readers drop them, and the first
+//! append of a process truncates them away.
 //!
 //! Size is bounded: when the data files exceed the configured budget
 //! (`CMPSIM_STORE_MAX_BYTES`, default 512 MiB), whole fingerprint files
@@ -48,30 +54,35 @@
 //! the determinism contract).
 //!
 //! The store is **bit-inert**: a warm run decodes to exactly the
-//! `RunResult` the cold run produced (the journal's bit-exact encoding),
-//! so `run_grid_*` results — and the `grid_digest` golden gate — are
-//! identical with the store cold, warm, or absent.
+//! `RunResult` the cold run produced, so `run_grid` results — and the
+//! `grid_digest` golden gate — are identical with the store cold, warm,
+//! or absent.
 
 use crate::config::Variant;
-use crate::journal::{self, JournalEntry};
+use crate::flatjson::JsonVal;
+use crate::record::{self, Record};
+use crate::seallog::{self, SealedLog};
 use crate::stats::RunResult;
 use cmpsim_harness::metrics::{self, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Store format version, written into every data-file header. Bumping it
+/// Store format version, written into every file header. Bumping it
 /// orphans old files (they stop matching and are eventually evicted).
 pub const STORE_VERSION: u64 = 1;
 
 /// Default size budget for the data files: 512 MiB.
 pub const DEFAULT_MAX_BYTES: u64 = 512 * 1024 * 1024;
 
+/// Recorded failures of one cell before a sweep quarantines it.
+pub const MAX_CELL_FAILURES: u32 = 2;
+
 /// The per-cell part of a store address; the config/length part is the
-/// structural [`journal::fingerprint`] the store shards files by.
+/// structural [`record::fingerprint`] the store shards files by.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CellKey {
     /// Workload name.
@@ -96,8 +107,8 @@ pub struct StoreStats {
     pub hits: u64,
     /// Compute claims granted by [`ResultStore::lease`] — the cells that
     /// actually had to be simulated. Plain [`ResultStore::get`] probes
-    /// count hits only, so a probe-then-lease sequence (how the grid
-    /// drivers consult the store) tallies each cell exactly once.
+    /// count hits only, so a probe-then-lease sequence (how `run_grid`
+    /// consults the store) tallies each cell exactly once.
     pub misses: u64,
     /// Results published into the store by this handle.
     pub published: u64,
@@ -125,8 +136,7 @@ impl StoreStats {
     }
 }
 
-/// Store I/O failure, tagged with the path and operation (mirrors
-/// [`journal::JournalError`]).
+/// Store I/O failure, tagged with the path and operation.
 #[derive(Debug)]
 pub struct StoreError {
     /// File the operation touched.
@@ -180,14 +190,20 @@ impl ComputeLease {
     /// released either way.
     pub fn publish(mut self, result: &RunResult) -> Result<(), StoreError> {
         self.done = true;
-        self.store.publish_leased(self.fp, &self.key, result)
+        let mut inner = self.store.lock();
+        inner.pending.remove(&(self.fp, self.key.clone()));
+        let out = self.store.publish_locked(&mut inner, self.fp, &self.key, result);
+        drop(inner);
+        self.store.published_cond.notify_all();
+        out
     }
 }
 
 impl Drop for ComputeLease {
     fn drop(&mut self) {
         if !self.done {
-            self.store.abandon(self.fp, &self.key);
+            self.store.lock().pending.remove(&(self.fp, self.key.clone()));
+            self.store.published_cond.notify_all();
         }
     }
 }
@@ -195,14 +211,16 @@ impl Drop for ComputeLease {
 /// Per-fingerprint in-memory view of one data/index file pair.
 #[derive(Debug, Default)]
 struct Shard {
-    /// Key → `(offset, len)` of the sealed record in the data file
+    /// Key → `(offset, len)` of the cell record in the data file
     /// (last-wins on duplicate appends).
     offsets: HashMap<CellKey, (u64, u32)>,
     /// Records already decoded this session.
     decoded: HashMap<CellKey, RunResult>,
-    /// Whether the data file existed with a valid header at load time
-    /// (false until the first publish creates it).
-    on_disk: bool,
+    /// Failure records per key.
+    failures: HashMap<CellKey, u32>,
+    /// Append handles, opened at the shard's first publish.
+    data: Option<SealedLog>,
+    index: Option<SealedLog>,
 }
 
 #[derive(Debug, Default)]
@@ -214,6 +232,8 @@ struct Inner {
     touch_seq: u64,
     /// Last-touch per fingerprint, mirrored to `lru.jsonl`.
     touched: HashMap<u64, u64>,
+    /// Append handle of `lru.jsonl`, opened at the first touch.
+    lru: Option<SealedLog>,
     stats: StoreStats,
 }
 
@@ -265,17 +285,72 @@ pub struct ResultStore {
     metrics: Option<StoreMetrics>,
 }
 
-/// Default store directory: `CMPSIM_STORE`, else the sibling of the
-/// journal dir (`$CARGO_TARGET_DIR/store`, the nearest enclosing
-/// `target/`, or `./target/store`).
+/// Default store directory: `CMPSIM_STORE`, else
+/// `$CARGO_TARGET_DIR/store`, else `store` under the nearest enclosing
+/// `target/` directory, else `./target/store`.
 pub fn default_store_dir() -> PathBuf {
     if let Ok(d) = std::env::var("CMPSIM_STORE") {
         return PathBuf::from(d);
     }
-    let grid = journal::default_journal_dir();
-    match grid.parent() {
-        Some(p) => p.join("store"),
-        None => PathBuf::from("target/store"),
+    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
+        return PathBuf::from(d).join("store");
+    }
+    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        let cand = cur.join("target");
+        if cand.is_dir() {
+            return cand.join("store");
+        }
+        if !cur.pop() {
+            return PathBuf::from("target/store");
+        }
+    }
+}
+
+fn data_header(fp: u64) -> String {
+    format!("{{\"cmpsim_store\":{STORE_VERSION},\"fingerprint\":\"{fp:016x}\"}}")
+}
+
+fn index_header(fp: u64) -> String {
+    format!("{{\"cmpsim_index\":{STORE_VERSION},\"fingerprint\":\"{fp:016x}\"}}")
+}
+
+fn lru_header() -> String {
+    format!("{{\"cmpsim_lru\":{STORE_VERSION}}}")
+}
+
+/// The open body of an index entry: the record's key (under the same
+/// `workload`/`failure` name as the record itself) and byte range.
+fn index_entry(key: &CellKey, failure: bool, offset: u64, len: u32) -> String {
+    let name = if failure { "failure" } else { "workload" };
+    format!("{},\"offset\":{offset},\"len\":{len}", record::key_prefix(name, key))
+}
+
+/// Decodes an index entry into `(key, is_failure, offset, len)`.
+fn decode_index_entry(fields: Vec<(String, JsonVal)>) -> Option<(CellKey, bool, u64, u32)> {
+    let map: HashMap<String, JsonVal> = fields.into_iter().collect();
+    let (key, failure) = record::decode_key(&map).ok()?;
+    let offset = map.get("offset")?.as_u64()?;
+    let len = u32::try_from(map.get("len")?.as_u64()?).ok()?;
+    Some((key, failure, offset, len))
+}
+
+/// The fingerprint a `<hex>.jsonl` data-file name stands for.
+fn data_file_fp(name: &std::ffi::OsStr) -> Option<u64> {
+    u64::from_str_radix(name.to_str()?.strip_suffix(".jsonl")?, 16).ok()
+}
+
+/// The lazily opened append handle in `slot`.
+fn open_log<'a>(
+    slot: &'a mut Option<SealedLog>,
+    path: PathBuf,
+    header: &str,
+) -> Result<&'a mut SealedLog, StoreError> {
+    match slot {
+        Some(log) => Ok(log),
+        None => SealedLog::open(&path, header)
+            .map(|log| slot.insert(log))
+            .map_err(|source| StoreError { path, op: "open", source }),
     }
 }
 
@@ -299,9 +374,8 @@ impl ResultStore {
 
     /// [`open`](Self::open) with an explicit size budget in bytes.
     pub fn with_capacity(dir: impl Into<PathBuf>, max_bytes: u64) -> Arc<ResultStore> {
-        let dir = dir.into();
         let store = ResultStore {
-            dir,
+            dir: dir.into(),
             max_bytes: max_bytes.max(1),
             inner: Mutex::new(Inner::default()),
             published_cond: Condvar::new(),
@@ -329,18 +403,7 @@ impl ResultStore {
     /// metrics snapshot taken right after reflects reality even when no
     /// eviction pass has run yet.
     pub fn resident_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(hex) = name.strip_suffix(".jsonl") else { continue };
-                if u64::from_str_radix(hex, 16).is_err() {
-                    continue;
-                }
-                total += e.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
+        let total = self.data_files().iter().map(|&(_, bytes)| bytes).sum();
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(total);
         }
@@ -354,10 +417,7 @@ impl ResultStore {
         let mut inner = self.lock();
         let found = self.lookup(&mut inner, fp, key);
         if found.is_some() {
-            inner.stats.hits += 1;
-            if let Some(m) = &self.metrics {
-                m.hits.inc();
-            }
+            self.count_hit(&mut inner);
         }
         found
     }
@@ -368,6 +428,14 @@ impl ResultStore {
     pub fn contains(&self, fp: u64, key: &CellKey) -> bool {
         let mut inner = self.lock();
         self.lookup(&mut inner, fp, key).is_some()
+    }
+
+    /// Failure records stored for `(fp, key)`; a cell with
+    /// [`MAX_CELL_FAILURES`] of them is quarantined by `run_grid`.
+    pub fn failures(&self, fp: u64, key: &CellKey) -> u32 {
+        let mut inner = self.lock();
+        self.load_shard(&mut inner, fp);
+        inner.shards[&fp].failures.get(key).copied().unwrap_or(0)
     }
 
     /// Looks the cell up; on a miss, either claims the compute for this
@@ -383,18 +451,13 @@ impl ResultStore {
         let mut wait_start: Option<Instant> = None;
         loop {
             if let Some(r) = self.lookup(&mut inner, fp, key) {
-                inner.stats.hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
-                if wait_start.is_some() {
+                self.count_hit(&mut inner);
+                if let Some(t0) = wait_start {
                     inner.stats.shared_waits += 1;
                     if let Some(m) = &self.metrics {
                         m.shared_waits.inc();
+                        m.lease_wait_nanos.record_elapsed(t0);
                     }
-                }
-                if let (Some(m), Some(t0)) = (&self.metrics, wait_start) {
-                    m.lease_wait_nanos.record_elapsed(t0);
                 }
                 return Lease::Hit(r);
             }
@@ -425,10 +488,9 @@ impl ResultStore {
         }
     }
 
-    /// Publishes a result without a lease (e.g. warming the store from a
-    /// journal). Appends to the data file, then the index, then updates
-    /// the in-memory shard and the LRU clock, then enforces the size
-    /// bound.
+    /// Publishes a result without a lease. Appends to the data file, then
+    /// the index, then updates the in-memory shard and the LRU clock,
+    /// then enforces the size bound.
     ///
     /// # Errors
     ///
@@ -440,20 +502,17 @@ impl ResultStore {
         Ok(())
     }
 
-    fn publish_leased(&self, fp: u64, key: &CellKey, result: &RunResult) -> Result<(), StoreError> {
+    /// Records one failure of `(fp, key)` with its rendered error;
+    /// [`MAX_CELL_FAILURES`] of these quarantine the cell.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the appends.
+    pub fn record_failure(&self, fp: u64, key: &CellKey, error: &str) -> Result<(), StoreError> {
         let mut inner = self.lock();
-        inner.pending.remove(&(fp, key.clone()));
-        let out = self.publish_locked(&mut inner, fp, key, result);
-        drop(inner);
-        self.published_cond.notify_all();
-        out
-    }
-
-    fn abandon(&self, fp: u64, key: &CellKey) {
-        let mut inner = self.lock();
-        inner.pending.remove(&(fp, key.clone()));
-        drop(inner);
-        self.published_cond.notify_all();
+        self.append_record(&mut inner, fp, key, true, record::encode_failure(key, error))?;
+        *inner.shards.entry(fp).or_default().failures.entry(key.clone()).or_default() += 1;
+        Ok(())
     }
 
     // ------------------------------------------------------ internals
@@ -475,13 +534,32 @@ impl ResultStore {
         self.dir.join("lru.jsonl")
     }
 
-    fn err(path: &Path, op: &'static str, source: io::Error) -> StoreError {
-        StoreError { path: path.to_path_buf(), op, source }
+    fn count_hit(&self, inner: &mut Inner) {
+        inner.stats.hits += 1;
+        if let Some(m) = &self.metrics {
+            m.hits.inc();
+        }
+    }
+
+    fn count_corrupt(&self, inner: &mut Inner) {
+        inner.stats.corrupt_skipped += 1;
+        if let Some(m) = &self.metrics {
+            m.corrupt_skipped.inc();
+        }
+    }
+
+    /// `(fingerprint, bytes)` of every data file on disk.
+    fn data_files(&self) -> Vec<(u64, u64)> {
+        let Ok(entries) = fs::read_dir(&self.dir) else { return Vec::new() };
+        entries
+            .flatten()
+            .filter_map(|e| Some((data_file_fp(&e.file_name())?, e.metadata().ok()?.len())))
+            .collect()
     }
 
     /// Finds `(fp, key)` in the shard, decoding its record from the data
     /// file on first access (CRC-verified; a bad record is dropped from
-    /// the index view and counts as a miss so the cell recomputes).
+    /// the index view and counts as corrupt so the cell recomputes).
     fn lookup(&self, inner: &mut Inner, fp: u64, key: &CellKey) -> Option<RunResult> {
         self.load_shard(inner, fp);
         let shard = inner.shards.get_mut(&fp)?;
@@ -489,117 +567,122 @@ impl ResultStore {
             return Some(r.clone());
         }
         let (offset, len) = *shard.offsets.get(key)?;
-        let path = self.data_path(fp);
-        match read_record(&path, offset, len) {
-            Ok(entry)
-                if entry.workload == key.workload
-                    && entry.variant == key.variant
-                    && entry.seed == key.seed =>
-            {
-                let result = entry.result;
-                shard.decoded.insert(key.clone(), result.clone());
-                Some(result)
+        match seallog::read_at(&self.data_path(fp), offset, len).and_then(record::decode) {
+            Ok(Record::Cell(k, result)) if k == *key => {
+                shard.decoded.insert(key.clone(), (*result).clone());
+                Some(*result)
             }
-            Ok(_) => {
-                // The index pointed at a record for a different cell
-                // (crash between data and index appends can misalign a
-                // rebuilt index). Drop the lie; the cell recomputes.
+            _ => {
+                // A damaged record, or an index entry pointing at another
+                // record (the index lied). Drop it; the cell recomputes.
                 shard.offsets.remove(key);
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
-                None
-            }
-            Err(_) => {
-                shard.offsets.remove(key);
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
+                self.count_corrupt(inner);
                 None
             }
         }
     }
 
-    /// Ensures the shard for `fp` is loaded: reads the index sidecar,
-    /// falls back to (and repairs from) a full data-file scan when the
-    /// index is missing or behind the data file.
+    /// Ensures the shard for `fp` is loaded: reads the index sidecar and
+    /// scans the data file beyond its coverage, rebuilding the index from
+    /// a full scan when it is missing, foreign or ahead of the data.
     fn load_shard(&self, inner: &mut Inner, fp: u64) {
         if inner.shards.contains_key(&fp) {
             return;
         }
         let mut shard = Shard::default();
         let data_path = self.data_path(fp);
-        let data_len = match fs::metadata(&data_path) {
-            Ok(m) => m.len(),
-            Err(_) => {
-                inner.shards.insert(fp, shard);
-                return;
-            }
+        let index_path = self.index_path(fp);
+        let Ok(data_len) = fs::metadata(&data_path).map(|m| m.len()) else {
+            inner.shards.insert(fp, shard);
+            return;
         };
-        // Header check: the first line must identify this store version
-        // and fingerprint. Anything else is a foreign or corrupt file —
-        // rotate it aside (never delete: mirror the journal's stale
-        // policy) and start empty.
-        match read_header_fp(&data_path) {
-            Some(h) if h == fp => {}
-            _ => {
-                let mut aside = data_path.as_os_str().to_os_string();
-                aside.push(".corrupt");
-                let _ = fs::rename(&data_path, PathBuf::from(aside));
-                let _ = fs::remove_file(self.index_path(fp));
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
-                inner.shards.insert(fp, shard);
-                return;
-            }
-        }
-        shard.on_disk = true;
         let mut covered = 0u64;
-        if let Ok(idx) = fs::read_to_string(self.index_path(fp)) {
-            for line in idx.lines() {
-                if let Some((key, offset, len)) = decode_index_line(line) {
-                    covered = covered.max(offset + u64::from(len));
+        let mut rebuild = true;
+        if let Ok(index) = seallog::read(&index_path, &index_header(fp), 0) {
+            rebuild = false;
+            for rec in index.records {
+                let Some((key, failure, offset, len)) =
+                    rec.fields.ok().and_then(decode_index_entry)
+                else {
+                    rebuild = true;
+                    break;
+                };
+                covered = covered.max(offset + u64::from(len));
+                if failure {
+                    *shard.failures.entry(key).or_default() += 1;
+                } else {
                     shard.offsets.insert(key, (offset, len));
                 }
             }
         }
-        if covered > data_len {
-            // The index claims more than the data file holds (truncated
-            // data, stale index): rebuild from scratch.
-            shard.offsets.clear();
+        // A damaged index, or one that claims more than the data file
+        // holds (truncated data), is rebuilt from scratch like a missing
+        // one.
+        if rebuild || covered > data_len {
+            rebuild = true;
+            shard = Shard::default();
             covered = 0;
         }
-        if data_len > covered {
-            // Data beyond index coverage (missing index, or a crash
-            // between the two appends): scan the tail and extend.
-            let (tail, base) = match scan_from(&data_path, covered) {
-                Ok(t) => t,
-                Err(_) => (Vec::new(), covered),
-            };
-            let _ = base;
-            let mut idx_lines = String::new();
-            for (key, offset, len, bad) in tail {
-                if bad {
-                    inner.stats.corrupt_skipped += 1;
-                    if let Some(m) = &self.metrics {
-                        m.corrupt_skipped.inc();
-                    }
-                    continue;
+        let Ok(tail) = seallog::read(&data_path, &data_header(fp), covered) else {
+            // A foreign or version-mismatched data file is never served;
+            // the first publish rotates it aside.
+            let _ = fs::remove_file(&index_path);
+            self.count_corrupt(inner);
+            inner.shards.insert(fp, Shard::default());
+            return;
+        };
+        let mut entries = Vec::new();
+        for rec in tail.records {
+            match rec.fields.and_then(record::decode) {
+                Ok(Record::Cell(key, _)) => {
+                    entries.push(index_entry(&key, false, rec.offset, rec.len));
+                    shard.offsets.insert(key, (rec.offset, rec.len));
                 }
-                idx_lines.push_str(&encode_index_line(&key, offset, len));
-                idx_lines.push('\n');
-                shard.offsets.insert(key, (offset, len));
+                Ok(Record::Failure(key)) => {
+                    entries.push(index_entry(&key, true, rec.offset, rec.len));
+                    *shard.failures.entry(key).or_default() += 1;
+                }
+                Err(_) => self.count_corrupt(inner),
             }
-            if !idx_lines.is_empty() {
-                let _ = append_bytes(&self.index_path(fp), idx_lines.as_bytes());
+        }
+        // The index is disposable, so failing to repair it only costs
+        // the next process another scan.
+        if rebuild {
+            shard.index = SealedLog::create(&index_path, &index_header(fp), &entries).ok();
+        } else if !entries.is_empty() {
+            if let Ok(log) = open_log(&mut shard.index, index_path, &index_header(fp)) {
+                for entry in entries {
+                    let _ = log.append(entry);
+                }
             }
         }
         self.touch(inner, fp);
         inner.shards.insert(fp, shard);
+    }
+
+    /// Appends one record to `fp`'s data file and its entry to the index
+    /// (data first: a crash in between leaves the record recoverable by
+    /// the tail scan in `load_shard`). Returns the record's byte range.
+    fn append_record(
+        &self,
+        inner: &mut Inner,
+        fp: u64,
+        key: &CellKey,
+        failure: bool,
+        body: String,
+    ) -> Result<(u64, u32), StoreError> {
+        self.load_shard(inner, fp);
+        let shard = inner.shards.entry(fp).or_default();
+        let data_path = self.data_path(fp);
+        let (offset, len) = open_log(&mut shard.data, data_path.clone(), &data_header(fp))?
+            .append(body)
+            .map_err(|source| StoreError { path: data_path, op: "append", source })?;
+        let index_path = self.index_path(fp);
+        open_log(&mut shard.index, index_path.clone(), &index_header(fp))?
+            .append(index_entry(key, failure, offset, len))
+            .map_err(|source| StoreError { path: index_path, op: "append index", source })?;
+        self.touch(inner, fp);
+        Ok((offset, len))
     }
 
     fn publish_locked(
@@ -609,49 +692,14 @@ impl ResultStore {
         key: &CellKey,
         result: &RunResult,
     ) -> Result<(), StoreError> {
-        self.load_shard(inner, fp);
-        fs::create_dir_all(&self.dir).map_err(|e| Self::err(&self.dir, "create dir", e))?;
-        let data_path = self.data_path(fp);
+        let range = self.append_record(inner, fp, key, false, record::encode_cell(key, result))?;
         let shard = inner.shards.entry(fp).or_default();
-        if !shard.on_disk {
-            // Header via tempfile + atomic rename: no reader can observe
-            // a half-written header.
-            let tmp = data_path.with_extension("tmp");
-            fs::write(
-                &tmp,
-                format!("{{\"cmpsim_store\":{STORE_VERSION},\"fingerprint\":\"{fp:016x}\"}}\n"),
-            )
-            .map_err(|e| Self::err(&tmp, "write header", e))?;
-            fs::rename(&tmp, &data_path).map_err(|e| Self::err(&data_path, "rename header", e))?;
-            shard.on_disk = true;
-        }
-        let entry = JournalEntry {
-            workload: key.workload.clone(),
-            variant: key.variant,
-            seed: key.seed,
-            result: result.clone(),
-        };
-        let mut line = journal::encode_entry(&entry);
-        line.push('\n');
-        // Data first, index second: a crash in between leaves the record
-        // recoverable by the tail scan in `load_shard`.
-        let offset = append_bytes(&data_path, line.as_bytes())
-            .map_err(|e| Self::err(&data_path, "append", e))?;
-        let len = line.len() as u32;
-        let idx_path = self.index_path(fp);
-        let mut idx_line = encode_index_line(key, offset, len);
-        idx_line.push('\n');
-        append_bytes(&idx_path, idx_line.as_bytes())
-            .map_err(|e| Self::err(&idx_path, "append index", e))?;
-
-        let shard = inner.shards.entry(fp).or_default();
-        shard.offsets.insert(key.clone(), (offset, len));
+        shard.offsets.insert(key.clone(), range);
         shard.decoded.insert(key.clone(), result.clone());
         inner.stats.published += 1;
         if let Some(m) = &self.metrics {
             m.published.inc();
         }
-        self.touch(inner, fp);
         self.evict_to_budget(inner, fp);
         Ok(())
     }
@@ -661,26 +709,23 @@ impl ResultStore {
         inner.touch_seq += 1;
         let seq = inner.touch_seq;
         inner.touched.insert(fp, seq);
-        let _ = append_bytes(
-            &self.lru_path(),
-            format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n").as_bytes(),
-        );
+        if let Ok(log) = open_log(&mut inner.lru, self.lru_path(), &lru_header()) {
+            let _ = log.append(lru_entry(fp, seq));
+        }
     }
 
     fn load_lru(&self, inner: &mut Inner) {
-        if let Ok(text) = fs::read_to_string(self.lru_path()) {
-            for line in text.lines() {
-                let Some(kvs) = crate::flatjson::parse_flat(line) else { continue };
-                let map: HashMap<_, _> = kvs.into_iter().collect();
-                let fp = map
-                    .get("fingerprint")
-                    .and_then(|v| v.as_str())
-                    .and_then(|s| u64::from_str_radix(s, 16).ok());
-                let seq = map.get("touch").and_then(|v| v.as_u64());
-                if let (Some(fp), Some(seq)) = (fp, seq) {
-                    inner.touch_seq = inner.touch_seq.max(seq);
-                    inner.touched.insert(fp, seq);
-                }
+        let Ok(lru) = seallog::read(&self.lru_path(), &lru_header(), 0) else { return };
+        for fields in lru.records.into_iter().filter_map(|r| r.fields.ok()) {
+            let map: HashMap<_, _> = fields.into_iter().collect();
+            let fp = map
+                .get("fingerprint")
+                .and_then(|v| v.as_str())
+                .and_then(|s| u64::from_str_radix(s, 16).ok());
+            let seq = map.get("touch").and_then(|v| v.as_u64());
+            if let (Some(fp), Some(seq)) = (fp, seq) {
+                inner.touch_seq = inner.touch_seq.max(seq);
+                inner.touched.insert(fp, seq);
             }
         }
     }
@@ -689,161 +734,46 @@ impl ResultStore {
     /// files fit the budget. The fingerprint just published to
     /// (`keep_fp`) is never self-evicted mid-sweep.
     fn evict_to_budget(&self, inner: &mut Inner, keep_fp: u64) {
-        let mut sizes: Vec<(u64, u64)> = Vec::new(); // (fp, bytes)
-        let mut total = 0u64;
-        let Ok(entries) = fs::read_dir(&self.dir) else { return };
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(".jsonl") else { continue };
-            let Ok(fp) = u64::from_str_radix(hex, 16) else { continue };
-            let bytes = e.metadata().map(|m| m.len()).unwrap_or(0);
-            total += bytes;
-            sizes.push((fp, bytes));
-        }
-        if total <= self.max_bytes {
-            if let Some(m) = &self.metrics {
-                m.resident_bytes.set(total);
+        let mut sizes = self.data_files();
+        let mut total: u64 = sizes.iter().map(|&(_, bytes)| bytes).sum();
+        if total > self.max_bytes {
+            // Oldest logical touch first; untouched files (no lru record,
+            // e.g. orphans from a crashed process) count as oldest of all.
+            sizes.sort_by_key(|&(fp, _)| (inner.touched.get(&fp).copied().unwrap_or(0), fp));
+            for (fp, bytes) in sizes {
+                if total <= self.max_bytes {
+                    break;
+                }
+                if fp == keep_fp {
+                    continue;
+                }
+                let _ = fs::remove_file(self.data_path(fp));
+                let _ = fs::remove_file(self.index_path(fp));
+                inner.shards.remove(&fp);
+                inner.touched.remove(&fp);
+                inner.stats.evicted_files += 1;
+                inner.stats.evicted_bytes += bytes;
+                if let Some(m) = &self.metrics {
+                    m.evicted_files.inc();
+                    m.evicted_bytes.add(bytes);
+                }
+                total = total.saturating_sub(bytes);
             }
-            return;
-        }
-        // Oldest logical touch first; untouched files (no lru record,
-        // e.g. orphans from a crashed process) count as oldest of all.
-        sizes.sort_by_key(|&(fp, _)| (inner.touched.get(&fp).copied().unwrap_or(0), fp));
-        for (fp, bytes) in sizes {
-            if total <= self.max_bytes {
-                break;
-            }
-            if fp == keep_fp {
-                continue;
-            }
-            let _ = fs::remove_file(self.data_path(fp));
-            let _ = fs::remove_file(self.index_path(fp));
-            inner.shards.remove(&fp);
-            inner.touched.remove(&fp);
-            inner.stats.evicted_files += 1;
-            inner.stats.evicted_bytes += bytes;
-            if let Some(m) = &self.metrics {
-                m.evicted_files.inc();
-                m.evicted_bytes.add(bytes);
-            }
-            total = total.saturating_sub(bytes);
+            // Compact the LRU file to the surviving fingerprints.
+            let mut survivors: Vec<_> = inner.touched.iter().map(|(&fp, &seq)| (seq, fp)).collect();
+            survivors.sort_unstable();
+            let entries: Vec<String> =
+                survivors.into_iter().map(|(seq, fp)| lru_entry(fp, seq)).collect();
+            inner.lru = SealedLog::create(&self.lru_path(), &lru_header(), &entries).ok();
         }
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(total);
         }
-        // Compact the LRU file to the surviving fingerprints.
-        let mut compact = String::new();
-        let mut survivors: Vec<_> = inner.touched.iter().collect();
-        survivors.sort_by_key(|&(_, seq)| *seq);
-        for (fp, seq) in survivors {
-            compact.push_str(&format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n"));
-        }
-        let tmp = self.lru_path().with_extension("tmp");
-        if fs::write(&tmp, compact).is_ok() {
-            let _ = fs::rename(&tmp, self.lru_path());
-        }
     }
 }
 
-/// Appends `bytes` as one `write_all` to `path` (creating it if needed)
-/// and returns the offset the write started at.
-fn append_bytes(path: &Path, bytes: &[u8]) -> io::Result<u64> {
-    let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    let offset = f.seek(SeekFrom::End(0))?;
-    f.write_all(bytes)?;
-    Ok(offset)
-}
-
-/// Reads and CRC-verifies the sealed record at `offset..offset+len`.
-fn read_record(path: &Path, offset: u64, len: u32) -> Result<JournalEntry, String> {
-    let mut f = fs::File::open(path).map_err(|e| e.to_string())?;
-    f.seek(SeekFrom::Start(offset)).map_err(|e| e.to_string())?;
-    let mut buf = vec![0u8; len as usize];
-    f.read_exact(&mut buf).map_err(|e| e.to_string())?;
-    let line = std::str::from_utf8(&buf).map_err(|e| e.to_string())?;
-    match journal::decode_line(line.trim_end_matches('\n')) {
-        Ok(journal::Decoded::Entry(e)) => Ok(e),
-        Ok(journal::Decoded::Failure { .. }) => Err("failure record in store".to_string()),
-        Err(reason) => Err(reason),
-    }
-}
-
-/// Parses the header line of a data file into its fingerprint, checking
-/// the store version.
-fn read_header_fp(path: &Path) -> Option<u64> {
-    let mut f = fs::File::open(path).ok()?;
-    let mut buf = [0u8; 128];
-    let n = f.read(&mut buf).ok()?;
-    let text = std::str::from_utf8(&buf[..n]).ok()?;
-    let line = text.lines().next()?;
-    let kvs = crate::flatjson::parse_flat(line)?;
-    let map: HashMap<_, _> = kvs.into_iter().collect();
-    if map.get("cmpsim_store").and_then(|v| v.as_u64()) != Some(STORE_VERSION) {
-        return None;
-    }
-    map.get("fingerprint")
-        .and_then(|v| v.as_str())
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-fn encode_index_line(key: &CellKey, offset: u64, len: u32) -> String {
-    debug_assert!(!key.workload.contains(['"', '\\']), "workload names are plain identifiers");
-    format!(
-        "{{\"workload\":\"{}\",\"variant\":\"{}\",\"seed\":{},\"offset\":{offset},\"len\":{len}}}",
-        key.workload,
-        key.variant.label(),
-        key.seed
-    )
-}
-
-fn decode_index_line(line: &str) -> Option<(CellKey, u64, u32)> {
-    let kvs = crate::flatjson::parse_flat(line)?;
-    let map: HashMap<_, _> = kvs.into_iter().collect();
-    let workload = map.get("workload")?.as_str()?.to_string();
-    let label = map.get("variant")?.as_str()?;
-    let variant = *Variant::all().iter().find(|v| v.label() == label)?;
-    let seed = map.get("seed")?.as_u64()?;
-    let offset = map.get("offset")?.as_u64()?;
-    let len = u32::try_from(map.get("len")?.as_u64()?).ok()?;
-    Some((CellKey { workload, variant, seed }, offset, len))
-}
-
-/// Reads data-file lines starting at byte `from`, returning
-/// `(key, offset, len, crc_failed)` per line (the header line, when
-/// included, is skipped) plus the file length scanned to.
-#[allow(clippy::type_complexity)]
-fn scan_from(path: &Path, from: u64) -> io::Result<(Vec<(CellKey, u64, u32, bool)>, u64)> {
-    let text = fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    let mut offset = 0u64;
-    for line in text.split_inclusive('\n') {
-        let len = line.len() as u64;
-        let start = offset;
-        offset += len;
-        if start < from || !line.ends_with('\n') {
-            continue; // already indexed, or a torn tail (recomputes)
-        }
-        let trimmed = line.trim_end_matches('\n');
-        if trimmed.contains("\"cmpsim_store\"") {
-            continue; // header
-        }
-        match journal::decode_line(trimmed) {
-            Ok(journal::Decoded::Entry(e)) => out.push((
-                CellKey { workload: e.workload, variant: e.variant, seed: e.seed },
-                start,
-                len as u32,
-                false,
-            )),
-            _ => out.push((
-                CellKey::new("?", Variant::Base, u64::MAX),
-                start,
-                len as u32,
-                true,
-            )),
-        }
-    }
-    Ok((out, offset))
+fn lru_entry(fp: u64, seq: u64) -> String {
+    format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}")
 }
 
 #[cfg(test)]
@@ -887,6 +817,7 @@ mod tests {
         assert_eq!(store.get(0xf00, &key), Some(r));
         assert_eq!(store.get(0xf00, &CellKey::new("apsi", Variant::Base, 11)), None);
         assert_eq!(store.get(0xbad, &key), None, "fingerprints are separate shards");
+        assert_eq!(store.stats().corrupt_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -947,6 +878,104 @@ mod tests {
         let store = ResultStore::with_capacity(&dir, u64::MAX);
         assert_eq!(store.get(0x3, &keep), Some(result(1)), "intact record survives");
         assert_eq!(store.get(0x3, &key), None, "torn record recomputes");
+        assert_eq!(store.stats().corrupt_skipped, 0, "a torn tail is not corruption");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_middle_record_skips_only_that_cell() {
+        let dir = temp_store("corrupt-middle");
+        let keys: Vec<_> =
+            ["apsi", "mgrid", "art"].iter().map(|w| CellKey::new(*w, Variant::Base, 1)).collect();
+        {
+            let store = ResultStore::with_capacity(&dir, u64::MAX);
+            for (i, key) in keys.iter().enumerate() {
+                store.publish(0x6, key, &result(40 + i as u64)).unwrap();
+            }
+        }
+        let data = dir.join("0000000000000006.jsonl");
+        let text = fs::read_to_string(&data).unwrap();
+        fs::write(&data, text.replacen("\"cycles\":41", "\"cycles\":49", 1)).unwrap();
+        fs::remove_file(dir.join("0000000000000006.idx")).unwrap();
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(store.get(0x6, &keys[0]), Some(result(40)));
+        assert_eq!(store.get(0x6, &keys[1]), None, "the corrupt record recomputes");
+        assert_eq!(store.get(0x6, &keys[2]), Some(result(42)), "records after it survive");
+        assert_eq!(store.stats().corrupt_skipped, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lying_index_entry_is_dropped_not_served() {
+        let dir = temp_store("lying-index");
+        let (a, b) =
+            (CellKey::new("apsi", Variant::Base, 1), CellKey::new("art", Variant::Base, 1));
+        let a_range = {
+            let store = ResultStore::with_capacity(&dir, u64::MAX);
+            store.publish(0x7, &a, &result(1)).unwrap();
+            let range = store.lock().shards[&0x7].offsets[&a];
+            range
+        };
+        // An index entry claiming `b` lives at `a`'s record, as a crash
+        // between another process's data and index appends can leave.
+        let mut index =
+            SealedLog::open(dir.join("0000000000000007.idx"), &index_header(0x7)).unwrap();
+        index.append(index_entry(&b, false, a_range.0, a_range.1)).unwrap();
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(store.get(0x7, &b), None, "another cell's record is never served");
+        assert_eq!(store.stats().corrupt_skipped, 1);
+        assert_eq!(store.get(0x7, &a), Some(result(1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_ahead_of_truncated_data_is_rebuilt() {
+        let dir = temp_store("stale-index");
+        let (a, b) =
+            (CellKey::new("apsi", Variant::Base, 1), CellKey::new("art", Variant::Base, 1));
+        {
+            let store = ResultStore::with_capacity(&dir, u64::MAX);
+            store.publish(0x8, &a, &result(1)).unwrap();
+            store.publish(0x8, &b, &result(2)).unwrap();
+        }
+        // Lose b's whole record (a restored backup, say) but keep the
+        // index that still covers it.
+        let data = dir.join("0000000000000008.jsonl");
+        let text = fs::read_to_string(&data).unwrap();
+        fs::write(&data, &text[..text[..text.len() - 1].rfind('\n').unwrap() + 1]).unwrap();
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(store.get(0x8, &a), Some(result(1)));
+        assert_eq!(store.get(0x8, &b), None);
+        store.publish(0x8, &b, &result(3)).unwrap();
+        drop(store);
+        // The rebuilt index names the new record, not the lost one.
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(store.get(0x8, &b), Some(result(3)));
+        assert_eq!(store.stats().corrupt_skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failure_records_count_per_key_across_reopens() {
+        let dir = temp_store("failures");
+        let key = CellKey::new("apsi", Variant::Prefetch, 11);
+        {
+            let store = ResultStore::with_capacity(&dir, u64::MAX);
+            store.record_failure(0x5, &key, "livelock at cycle 5:\n  core 0").unwrap();
+            store.record_failure(0x5, &key, "livelock again").unwrap();
+            assert_eq!(store.failures(0x5, &key), 2);
+        }
+        for drop_index in [false, true] {
+            if drop_index {
+                fs::remove_file(dir.join("0000000000000005.idx")).unwrap();
+            }
+            let store = ResultStore::with_capacity(&dir, u64::MAX);
+            assert_eq!(store.failures(0x5, &key), 2, "index dropped: {drop_index}");
+            assert_eq!(store.failures(0x5, &CellKey::new("apsi", Variant::Base, 11)), 0);
+            assert_eq!(store.failures(0x5, &CellKey::new("apsi", Variant::Prefetch, 12)), 0);
+            assert_eq!(store.get(0x5, &key), None, "a failure record is not a result");
+            assert_eq!(store.stats().corrupt_skipped, 0, "failure records decode cleanly");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1002,33 +1031,34 @@ mod tests {
         assert!(!dir.join(format!("{:016x}.jsonl", 0xb)).exists());
         assert!(dir.join(format!("{:016x}.jsonl", 0xc)).exists(), "most recent kept");
         assert_eq!(store.stats().evicted_files, 2);
-        let total: u64 = fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".jsonl"))
-            .filter(|e| e.file_name().to_string_lossy() != "lru.jsonl")
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert!(total <= one_file * 2 - 1, "size bound respected: {total}");
+        assert!(store.resident_bytes() < one_file * 2, "size bound respected");
         // Evicted cells are misses (recompute), kept cells are hits.
         assert_eq!(store.get(0xa, &CellKey::new("apsi", Variant::Base, 1)), None);
         assert_eq!(
             store.get(0xc, &CellKey::new("apsi", Variant::Base, 1)),
             Some(result(0xc))
         );
+        // The compacted LRU file still orders the survivors on reopen.
+        let reopened = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(reopened.lock().touched.keys().copied().collect::<Vec<_>>(), vec![0xc]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn foreign_data_file_is_rotated_aside_not_served() {
+    fn foreign_data_file_is_never_served_and_rotated_aside() {
         let dir = temp_store("foreign");
         fs::create_dir_all(&dir).unwrap();
         let data = dir.join(format!("{:016x}.jsonl", 0x9));
-        fs::write(&data, "{\"cmpsim_store\":999,\"fingerprint\":\"0000000000000009\"}\n").unwrap();
+        let foreign = "{\"cmpsim_store\":999,\"fingerprint\":\"0000000000000009\"}\n";
+        fs::write(&data, foreign).unwrap();
         let store = ResultStore::with_capacity(&dir, u64::MAX);
-        assert_eq!(store.get(0x9, &CellKey::new("apsi", Variant::Base, 1)), None);
-        assert!(!data.exists());
-        assert!(dir.join(format!("{:016x}.jsonl.corrupt", 0x9)).exists(), "preserved, not deleted");
+        let key = CellKey::new("apsi", Variant::Base, 1);
+        assert_eq!(store.get(0x9, &key), None);
+        store.publish(0x9, &key, &result(3)).unwrap();
+        let aside = dir.join(format!("{:016x}.jsonl.stale", 0x9));
+        assert_eq!(fs::read_to_string(aside).unwrap(), foreign, "preserved, not deleted");
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        assert_eq!(store.get(0x9, &key), Some(result(3)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -44,8 +44,8 @@
 //!
 //! Everything here is deterministic for a fixed seed: property tests
 //! replay exactly, and the pool never changes *what* is computed, only
-//! *when* — parallel users (e.g. `cmpsim_core::experiment::
-//! run_grid_parallel`) stay bit-identical to their serial counterparts.
+//! *when* — parallel users (e.g. `cmpsim_core::experiment::run_grid`)
+//! stay bit-identical at every thread count.
 
 pub mod bench;
 pub mod chaos;

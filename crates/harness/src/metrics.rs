@@ -396,7 +396,7 @@ pub fn global() -> &'static Registry {
 const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
 
 /// Frozen copy of a whole [`Registry`], renderable as one flat JSON
-/// object (the journal/store framing: string and `u64` values only) or
+/// object (the store framing: string and `u64` values only) or
 /// as Prometheus text exposition.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -481,7 +481,7 @@ impl MetricsSnapshot {
 // ----------------------------------------------------------- atomic file
 
 /// Writes `contents` to `path` through a sibling tempfile and an atomic
-/// rename — the same discipline as store/journal headers — so a reader
+/// rename — the same discipline as store headers — so a reader
 /// (or a killed writer) can never observe a torn file. Parent
 /// directories are created as needed.
 ///

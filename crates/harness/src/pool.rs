@@ -6,8 +6,8 @@
 //! short ones — but the *results* are returned in submission order and the
 //! jobs themselves are untouched. A caller whose jobs are pure functions
 //! of their inputs therefore gets bit-identical output at any thread
-//! count, including 1; that contract is what
-//! `cmpsim_core::experiment::run_grid_parallel` builds on.
+//! count, including 1 (the same contract the supervised
+//! `cmpsim_core::experiment::run_grid` keeps).
 //!
 //! Built on `std::thread::scope`: no leaked threads, no `'static` bounds
 //! on borrowed data, and a panicking job propagates to the caller after

@@ -351,12 +351,6 @@ impl GridProgress {
         self.cell_nanos.fetch_add(host_nanos, Ordering::Relaxed);
     }
 
-    /// Marks cell `i` as already satisfied (e.g. loaded from a journal).
-    pub fn cell_skipped(&self, i: usize) {
-        self.states[i].store(CellState::Done as u8, Ordering::Relaxed);
-        self.done.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Marks cell `i` as served from the result store (a cache hit —
     /// distinguishable from computed cells in the status line).
     pub fn cell_cached(&self, i: usize) {
@@ -629,8 +623,8 @@ mod tests {
         p.cell_started(1);
         p.cell_finished(1, false, 0, 0);
         assert_eq!(p.state(1), CellState::Failed);
-        p.cell_skipped(2);
-        assert_eq!(p.state(2), CellState::Done);
+        p.cell_cached(2);
+        assert_eq!(p.state(2), CellState::Cached);
         assert_eq!(p.finished(), 3);
         assert!(!p.is_complete());
         p.cell_started(3);
@@ -664,7 +658,7 @@ mod tests {
     #[test]
     fn heartbeat_starts_and_stops_cleanly() {
         let p = Arc::new(GridProgress::new(1, 1));
-        p.cell_skipped(0);
+        p.cell_cached(0);
         let hb = Heartbeat::start(Arc::clone(&p));
         hb.stop();
     }

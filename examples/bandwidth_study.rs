@@ -7,7 +7,9 @@
 //! ```
 
 use cmpsim::report::{pct, Table};
-use cmpsim::{workload, LinkBandwidth, SimLength, SystemConfig, Variant, VariantGrid};
+use cmpsim::{
+    run_grid, workload, LinkBandwidth, RunOptions, SimLength, SystemConfig, Variant, VariantGrid,
+};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "apache".to_string());
@@ -20,17 +22,14 @@ fn main() {
     let mut t = Table::new(&["link", "pf", "compr", "pf+compr", "interaction"]);
     for bw in [10u32, 20, 40, 80] {
         let base = SystemConfig::paper_default(8).with_link(LinkBandwidth::GBps(bw));
-        let grid = VariantGrid::run(
-            &spec,
-            &base,
-            &[
-                Variant::Base,
-                Variant::Prefetch,
-                Variant::BothCompression,
-                Variant::PrefetchCompression,
-            ],
-            len,
-        ).expect("simulation failed");
+        let variants = [
+            Variant::Base,
+            Variant::Prefetch,
+            Variant::BothCompression,
+            Variant::PrefetchCompression,
+        ];
+        let cells = run_grid(std::slice::from_ref(&spec), &base, &variants, len, &RunOptions::default());
+        let grid = VariantGrid::from_cells(cells.into_iter().map(|c| c.expect("simulation failed")));
         t.row(&[
             format!("{bw} GB/s"),
             pct(grid.speedup_pct(Variant::Prefetch)),

@@ -7,8 +7,10 @@
 //! the system degraded. Output is fully deterministic for a given plan,
 //! so CI diffs two invocations byte-for-byte.
 
-use cmpsim::{run_grid_parallel, run_grid_serial, workload, FaultPlan, SimLength, SystemConfig,
-    Variant};
+use cmpsim::{
+    run_grid, workload, CellError, FaultPlan, GridCell, RunOptions, SimLength, SystemConfig,
+    Variant,
+};
 
 fn main() {
     let raw = std::env::var("CMPSIM_CHAOS").unwrap_or_else(|_| "7:0.02".to_string());
@@ -26,7 +28,10 @@ fn main() {
     let base = SystemConfig::paper_default(2).with_seed(11);
     let len = SimLength { warmup: 5_000, measure: 20_000 };
 
-    let serial = match run_grid_serial(&specs, &base, &variants, len) {
+    let grid = |threads: usize| -> Result<Vec<GridCell>, CellError> {
+        run_grid(&specs, &base, &variants, len, &RunOptions::threads(threads)).into_iter().collect()
+    };
+    let serial = match grid(1) {
         Ok(cells) => cells,
         Err(e) => {
             eprintln!("chaos smoke FAILED: {e}");
@@ -34,8 +39,7 @@ fn main() {
         }
     };
     for threads in [1, 2, 8] {
-        let par = run_grid_parallel(&specs, &base, &variants, len, threads)
-            .expect("armed grid re-runs");
+        let par = grid(threads).expect("armed grid re-runs");
         assert_eq!(serial, par, "chaos run diverged at {threads} threads");
     }
 

@@ -1,7 +1,7 @@
 //! Bit-identity gate for engine optimizations (`scripts/ci.sh`).
 //!
 //! Runs a fixed smoke grid (the paper's 8 workloads x 4 headline
-//! variants, 4 cores, seed 11) through `run_grid_serial` and folds every
+//! variants, 4 cores, seed 11) through `run_grid` and folds every
 //! *model-output* counter of every cell into one FNV-1a digest. The
 //! digest over this grid was recorded from the seed engine (before the
 //! fast-path maps, the recycled event pool and the word-parallel FPC
@@ -34,7 +34,10 @@
 //!   cargo run --release --example grid_digest           # compare
 //!   CMPSIM_WRITE_GOLDEN=1 cargo run ... grid_digest     # (re)record
 
-use cmpsim::{all_workloads, report, run_grid_serial, CodecKind, SimLength, SystemConfig, Variant};
+use cmpsim::{
+    all_workloads, report, run_grid, CodecKind, GridCell, RunOptions, SimLength, SystemConfig,
+    Variant,
+};
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -52,7 +55,10 @@ const STEADY_GOLDEN_PATH: &str = "tests/golden/grid_digest_steady.txt";
 
 fn digest_grid(base: &SystemConfig, variants: &[Variant], len: SimLength) -> (String, usize) {
     let specs = all_workloads();
-    let cells = run_grid_serial(&specs, base, variants, len).expect("smoke grid simulates");
+    let cells: Vec<GridCell> = run_grid(&specs, base, variants, len, &RunOptions::default())
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("smoke grid simulates");
     // The digest itself lives in `report::grid_digest` so the store gate
     // (examples/store_gate.rs) folds the exact same fields.
     (report::grid_digest(&cells), cells.len())

@@ -1,6 +1,6 @@
 //! Service-metrics inertness + SLO gate (`scripts/ci.sh`).
 //!
-//! Runs the smoke grid cold then warm through `run_grid_parallel_store`
+//! Runs the smoke grid cold then warm through `run_grid` with a store
 //! with metrics **armed** and asserts the tentpole contract from three
 //! sides:
 //!
@@ -26,9 +26,14 @@
 
 use cmpsim::core::flatjson::parse_flat;
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, report, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::trace::WorkloadSpec;
+use cmpsim::{
+    all_workloads, report, run_grid, CellError, GridCell, RunOptions, SimLength, SystemConfig,
+    Variant,
+};
 use cmpsim_harness::bench::Runner;
 use cmpsim_harness::metrics;
+use std::sync::Arc;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -57,6 +62,17 @@ const REQUIRED_KEYS: [&str; 12] = [
     "store_lease_wait_nanos_count",
 ];
 
+/// One smoke-grid sweep on 4 workers against `store`.
+fn sweep(
+    specs: &[WorkloadSpec],
+    base: &SystemConfig,
+    len: SimLength,
+    store: &Arc<ResultStore>,
+) -> Result<Vec<GridCell>, CellError> {
+    let opts = RunOptions::threads(4).with_store(Arc::clone(store));
+    run_grid(specs, base, &VARIANTS, len, &opts).into_iter().collect()
+}
+
 fn main() {
     if !metrics::enabled() {
         eprintln!("metrics gate: CMPSIM_METRICS=0 — this gate needs armed metrics");
@@ -75,7 +91,7 @@ fn main() {
 
     let t0 = Instant::now();
     let cold_store = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &cold_store)
+    let cold = sweep(&specs, &base, len, &cold_store)
         .expect("cold smoke grid simulates");
     let cold_digest = report::grid_digest(&cold);
     let cold_stats = cold_store.stats();
@@ -92,7 +108,7 @@ fn main() {
     metrics::global().reset();
     let t1 = Instant::now();
     let warm_store = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &warm_store)
+    let warm = sweep(&specs, &base, len, &warm_store)
         .expect("warm smoke grid resolves");
     let warm_digest = report::grid_digest(&warm);
     let warm_stats = warm_store.stats();

@@ -20,7 +20,7 @@
 //!                      is live and consistent, exit nonzero on failure
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::{all_workloads, run_grid, RunOptions, SimLength, SystemConfig, Variant};
 use cmpsim_harness::metrics::{self, MetricsSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -136,8 +136,9 @@ fn main() {
             let base = SystemConfig::paper_default(4).with_seed(11);
             let len = SimLength { warmup: 5_000, measure: 20_000 };
             let specs = all_workloads();
+            let opts = RunOptions::threads(4).with_store(store);
             for _ in 0..rounds {
-                if run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &store).is_err() {
+                if run_grid(&specs, &base, &VARIANTS, len, &opts).iter().any(Result::is_err) {
                     break;
                 }
             }

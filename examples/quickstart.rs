@@ -6,7 +6,7 @@
 //! ```
 
 use cmpsim::report::{pct, Table};
-use cmpsim::{workload, SimLength, SystemConfig, Variant, VariantGrid};
+use cmpsim::{run_grid, workload, RunOptions, SimLength, SystemConfig, Variant, VariantGrid};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "zeus".to_string());
@@ -25,8 +25,8 @@ fn main() {
         Variant::AdaptivePrefetchCompression,
     ];
     println!("simulating {name} on an 8-core CMP (this takes a few seconds per config)…");
-    let grid = VariantGrid::run(&spec, &base, &variants, SimLength::standard())
-        .expect("simulation failed");
+    let cells = run_grid(&[spec], &base, &variants, SimLength::standard(), &RunOptions::default());
+    let grid = VariantGrid::from_cells(cells.into_iter().map(|c| c.expect("simulation failed")));
 
     let mut t = Table::new(&["configuration", "runtime (cycles)", "IPC", "L2 MPKI", "GB/s", "speedup"]);
     for v in variants {

@@ -1,7 +1,7 @@
 //! Result-store bit-inertness gate (`scripts/ci.sh`).
 //!
 //! Runs the same smoke grid as `examples/grid_digest.rs` twice through
-//! `run_grid_parallel_store` against one result store: cold (empty
+//! `run_grid` against one result store: cold (empty
 //! store — every cell computed and published) and warm (fresh store
 //! handle over the same directory — every cell served back). The gate
 //! asserts the store is *bit-inert* and actually *working*:
@@ -17,7 +17,12 @@
 //!   CMPSIM_STORE=$(mktemp -d) cargo run --release --example store_gate
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, report, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::trace::WorkloadSpec;
+use cmpsim::{
+    all_workloads, report, run_grid, CellError, GridCell, RunOptions, SimLength, SystemConfig,
+    Variant,
+};
+use std::sync::Arc;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -28,6 +33,17 @@ const VARIANTS: [Variant; 4] = [
 ];
 
 const GOLDEN_PATH: &str = "tests/golden/grid_digest.txt";
+
+/// One smoke-grid sweep on 4 workers against `store`.
+fn sweep(
+    specs: &[WorkloadSpec],
+    base: &SystemConfig,
+    len: SimLength,
+    store: &Arc<ResultStore>,
+) -> Result<Vec<GridCell>, CellError> {
+    let opts = RunOptions::threads(4).with_store(Arc::clone(store));
+    run_grid(specs, base, &VARIANTS, len, &opts).into_iter().collect()
+}
 
 fn main() {
     let base = SystemConfig::paper_default(4).with_seed(11);
@@ -46,7 +62,7 @@ fn main() {
 
     let t0 = Instant::now();
     let cold_store = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &cold_store)
+    let cold = sweep(&specs, &base, len, &cold_store)
         .expect("cold smoke grid simulates");
     let cold_stats = cold_store.stats();
     let cold_digest = report::grid_digest(&cold);
@@ -61,7 +77,7 @@ fn main() {
 
     let t1 = Instant::now();
     let warm_store = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &warm_store)
+    let warm = sweep(&specs, &base, len, &warm_store)
         .expect("warm smoke grid resolves");
     let warm_stats = warm_store.stats();
     let warm_digest = report::grid_digest(&warm);

@@ -44,10 +44,7 @@ pub use cmpsim_prefetch as prefetch;
 pub use cmpsim_trace as trace;
 
 pub use cmpsim_core::{
-    experiment::{
-        across_seeds, run_grid_parallel, run_grid_parallel_store, run_grid_resilient,
-        run_grid_serial, run_variant, GridCell, ResilienceOptions, SimLength, VariantGrid,
-    },
+    experiment::{across_seeds, run_grid, run_variant, GridCell, RunOptions, SimLength, VariantGrid},
     metrics, report, telemetry, CellError, CellKey, CodecKind, FaultPlan, FaultSite, FaultStats,
     Lease, PrefetchMode, ResultStore, RunResult, SimError, SimStats, StoreStats, System,
     SystemConfig, TelemetrySample, TraceKind, TraceOptions, Variant,

@@ -14,7 +14,7 @@
 //!   [`SimError::FaultBudgetExhausted`] carrying a flight-recorder tail.
 
 use cmpsim::{
-    run_grid_parallel, run_grid_serial, workload, FaultPlan, SimError, SimLength, System,
+    run_grid, workload, FaultPlan, GridCell, RunOptions, SimError, SimLength, System,
     SystemConfig, Variant,
 };
 
@@ -93,8 +93,14 @@ fn env_armed_chaos_grid_is_thread_invariant() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let variants = [Variant::Base, Variant::PrefetchCompression];
     let len = SimLength { warmup: 2_000, measure: 8_000 };
-    let serial = run_grid_serial(&specs, &base(), &variants, len).unwrap();
-    let rerun = run_grid_serial(&specs, &base(), &variants, len).unwrap();
+    let grid = |threads: usize| -> Vec<GridCell> {
+        run_grid(&specs, &base(), &variants, len, &RunOptions::threads(threads))
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    };
+    let serial = grid(1);
+    let rerun = grid(1);
     assert_eq!(serial, rerun, "repeated env-armed invocations must be bit-identical");
     assert!(
         serial.iter().any(|c| {
@@ -104,8 +110,7 @@ fn env_armed_chaos_grid_is_thread_invariant() {
         "the armed grid should see some injections"
     );
     for threads in [1, 2, 8] {
-        let par = run_grid_parallel(&specs, &base(), &variants, len, threads).unwrap();
-        assert_eq!(serial, par, "chaos grid diverged at {threads} threads");
+        assert_eq!(serial, grid(threads), "chaos grid diverged at {threads} threads");
     }
     std::env::remove_var("CMPSIM_CHAOS");
 }

@@ -4,7 +4,7 @@
 //! artifacts leaves no torn or temporary files.
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::{run_grid, RunOptions, SimLength, SystemConfig, Variant};
 use cmpsim_harness::metrics;
 use std::sync::Arc;
 
@@ -35,8 +35,14 @@ fn grid_metrics_account_and_stay_inert() {
 
     let before = metrics::global().snapshot();
     let cold_store: Arc<ResultStore> = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &variants, len, 2, &cold_store)
-        .expect("cold grid simulates");
+    let sweep = |store: &Arc<ResultStore>| -> Vec<cmpsim::GridCell> {
+        let opts = RunOptions::threads(2).with_store(Arc::clone(store));
+        run_grid(&specs, &base, &variants, len, &opts)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("grid simulates")
+    };
+    let cold = sweep(&cold_store);
     let after_cold = metrics::global().snapshot();
 
     let d = |snap: &metrics::MetricsSnapshot, prev: &metrics::MetricsSnapshot, k: &str| {
@@ -55,8 +61,7 @@ fn grid_metrics_account_and_stay_inert() {
     // Warm pass through a fresh handle: all cache, and — the inertness
     // contract — bit-identical results to the cold pass.
     let warm_store: Arc<ResultStore> = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &variants, len, 2, &warm_store)
-        .expect("warm grid resolves");
+    let warm = sweep(&warm_store);
     let after_warm = metrics::global().snapshot();
     assert_eq!(d(&after_warm, &after_cold, "grid_cells_computed"), 0);
     assert_eq!(d(&after_warm, &after_cold, "grid_cells_cached"), cells);

@@ -1,4 +1,4 @@
-//! Fault isolation and checkpoint/resume guarantees for the supervised
+//! Fault isolation, resume and quarantine guarantees for the supervised
 //! grid driver, plus the simulator's own runtime safety nets (forward-
 //! progress watchdog, opt-in invariant checker).
 //!
@@ -6,17 +6,18 @@
 //!
 //! - an injected panicking / hanging / erroring cell degrades to a
 //!   per-cell [`CellError`] while every other cell completes;
-//! - a sweep killed mid-run and re-invoked with the same journal skips
-//!   completed cells and produces results **bit-identical** to an
-//!   uninterrupted `run_grid_serial`.
+//! - a sweep killed mid-run and re-run against the same result store
+//!   skips completed cells and produces results **bit-identical** to an
+//!   uninterrupted `run_grid`, whatever byte the kill tore the store at;
+//! - a cell that keeps failing is quarantined through the store's
+//!   failure records.
 
-use cmpsim::core::experiment::{
-    run_cells_resilient, run_grid_resilient, run_grid_serial, run_variant, ResilienceOptions,
-    SimLength,
-};
-use cmpsim::core::journal;
-use cmpsim::{workload, CellError, SimError, System, SystemConfig, Variant};
+use cmpsim::core::experiment::{run_grid, run_grid_with, run_variant, RunOptions, SimLength};
+use cmpsim::core::record::fingerprint;
+use cmpsim::core::store::{CellKey, ResultStore, MAX_CELL_FAILURES};
+use cmpsim::{workload, CellError, GridCell, SimError, System, SystemConfig, Variant};
 use cmpsim_harness::Supervisor;
+use cmpsim_trace::WorkloadSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,21 +43,48 @@ fn quick_supervisor() -> Supervisor {
     }
 }
 
-/// A unique, pre-cleaned journal path for one test.
-fn temp_journal(name: &str) -> PathBuf {
-    let path = std::env::temp_dir()
-        .join(format!("cmpsim-resilience-{}-{name}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
+fn quick() -> RunOptions {
+    RunOptions { supervisor: quick_supervisor(), store: None }
+}
+
+/// A unique, pre-cleaned store directory for one test.
+fn temp_store(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("cmpsim-resilience-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The uninterrupted reference grid: one worker, no store.
+fn uninterrupted(specs: &[WorkloadSpec], base: &SystemConfig, len: SimLength) -> Vec<GridCell> {
+    run_grid(specs, base, &VARIANTS, len, &RunOptions::threads(1))
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
+/// A healthy cell function that counts its calls.
+fn counting(
+    calls: &Arc<AtomicUsize>,
+    len: SimLength,
+) -> impl Fn(&WorkloadSpec, &SystemConfig, Variant) -> Result<cmpsim::RunResult, SimError> {
+    let calls = Arc::clone(calls);
+    move |s, b, v| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        run_variant(s, b, v, len)
+    }
+}
+
+fn all_ok(out: Vec<Result<GridCell, CellError>>) -> Vec<GridCell> {
+    out.into_iter().map(|r| r.unwrap()).collect()
 }
 
 #[test]
 fn healthy_resilient_sweep_matches_serial_bit_for_bit() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let base = small_base();
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
-    let opts = ResilienceOptions { supervisor: quick_supervisor(), journal: None, store: None };
-    let resilient = run_grid_resilient(&specs, &base, &VARIANTS, short(), &opts);
+    let serial = uninterrupted(&specs, &base, short());
+    let resilient = run_grid(&specs, &base, &VARIANTS, short(), &quick());
     let cells: Vec<_> = resilient
         .into_iter()
         .map(|r| r.expect("healthy sweep must not degrade any cell"))
@@ -71,8 +99,7 @@ fn panicking_cell_degrades_only_itself() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let base = small_base();
     let len = short();
-    let opts = ResilienceOptions { supervisor: quick_supervisor(), journal: None, store: None };
-    let out = run_cells_resilient(&specs, &base, &VARIANTS, 0, &opts, move |s, b, v| {
+    let out = run_grid_with(&specs, &base, &VARIANTS, len, &quick(), move |s, b, v| {
         if s.name == "apsi" && v == Variant::Base {
             panic!("injected fault in apsi/base");
         }
@@ -106,16 +133,15 @@ fn hanging_cell_times_out_while_others_complete() {
     // oversubscribed host (debug build, one CPU, four workers) while
     // staying far below the injected 30 s hang — 1 s is two orders of
     // magnitude of headroom in each direction.
-    let opts = ResilienceOptions {
+    let opts = RunOptions {
         supervisor: Supervisor {
             deadline: Some(Duration::from_secs(1)),
             ..quick_supervisor()
         },
-        journal: None,
         store: None,
     };
     let t0 = std::time::Instant::now();
-    let out = run_cells_resilient(&specs, &base, &VARIANTS, 0, &opts, move |s, b, v| {
+    let out = run_grid_with(&specs, &base, &VARIANTS, len, &opts, move |s, b, v| {
         if s.name == "zeus" && v == Variant::PrefetchCompression {
             // Far past the deadline; the supervisor abandons the thread.
             std::thread::sleep(Duration::from_secs(30));
@@ -143,8 +169,7 @@ fn sim_error_cell_is_reported_in_place() {
     let specs = vec![workload("zeus").unwrap()];
     let base = small_base();
     let len = short();
-    let opts = ResilienceOptions { supervisor: quick_supervisor(), journal: None, store: None };
-    let out = run_cells_resilient(&specs, &base, &VARIANTS, 0, &opts, move |s, b, v| {
+    let out = run_grid_with(&specs, &base, &VARIANTS, len, &quick(), move |s, b, v| {
         if v == Variant::Base {
             return Err(SimError::InvariantViolation {
                 cycle: 42,
@@ -179,12 +204,11 @@ fn transient_panic_recovers_under_retry() {
     let variants = [Variant::Base];
     let attempts = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&attempts);
-    let opts = ResilienceOptions {
+    let opts = RunOptions {
         supervisor: Supervisor { retries: 3, ..quick_supervisor() },
-        journal: None,
         store: None,
     };
-    let out = run_cells_resilient(&specs, &base, &variants, 0, &opts, move |s, b, v| {
+    let out = run_grid_with(&specs, &base, &variants, len, &opts, move |s, b, v| {
         if counter.fetch_add(1, Ordering::SeqCst) < 2 {
             panic!("transient");
         }
@@ -195,13 +219,13 @@ fn transient_panic_recovers_under_retry() {
 }
 
 /// The headline acceptance test: a sweep "killed" after finishing only
-/// the first workload (simulated by running the resilient driver over a
-/// prefix of the spec list, journaling as it goes) resumes under the
-/// full spec list with the same journal, re-runs **only** the missing
+/// the first workload (simulated by running the driver over a prefix of
+/// the spec list, publishing to the store as it goes) resumes under the
+/// full spec list against the same store, re-runs **only** the missing
 /// cells, and the assembled grid is bit-identical to an uninterrupted
-/// serial sweep.
+/// sweep.
 #[test]
-fn killed_sweep_resumes_from_journal_bit_identically() {
+fn killed_sweep_resumes_from_store_bit_identically() {
     let specs = vec![
         workload("zeus").unwrap(),
         workload("apsi").unwrap(),
@@ -209,166 +233,123 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
     ];
     let base = small_base();
     let len = short();
-    let path = temp_journal("resume");
-    let fp = journal::fingerprint(&base, len);
-    let opts = ResilienceOptions {
-        supervisor: quick_supervisor(),
-        journal: Some(path.clone()),
-        store: None,
-    };
-
+    let dir = temp_store("resume");
+    let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
     let calls = Arc::new(AtomicUsize::new(0));
-    let make_cell_fn = |calls: Arc<AtomicUsize>| {
-        move |s: &cmpsim_trace::WorkloadSpec, b: &SystemConfig, v: Variant| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            run_variant(s, b, v, len)
-        }
-    };
 
     // Phase 1: the "interrupted" sweep — only the first workload finishes
-    // before the (simulated) kill. Its cells land in the journal.
-    let partial = run_cells_resilient(
-        &specs[..1],
-        &base,
-        &VARIANTS,
-        fp,
-        &opts,
-        make_cell_fn(Arc::clone(&calls)),
-    );
+    // before the (simulated) kill. Its cells land in the store.
+    let partial = run_grid_with(&specs[..1], &base, &VARIANTS, len, &opts, counting(&calls, len));
     assert!(partial.iter().all(Result::is_ok));
     assert_eq!(calls.load(Ordering::SeqCst), VARIANTS.len());
 
-    // Phase 2: re-invoke over the full sweep with the same journal. The
-    // journaled cells must be skipped, not re-simulated.
-    let resumed = run_cells_resilient(
-        &specs,
-        &base,
-        &VARIANTS,
-        fp,
-        &opts,
-        make_cell_fn(Arc::clone(&calls)),
-    );
+    // Phase 2: re-run the full sweep in a fresh process (a fresh store
+    // handle). The stored cells must be served, not re-simulated.
+    let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
+    let resumed = run_grid_with(&specs, &base, &VARIANTS, len, &opts, counting(&calls, len));
     assert_eq!(
         calls.load(Ordering::SeqCst),
         specs.len() * VARIANTS.len(),
-        "resume must re-run only the cells missing from the journal"
+        "resume must re-run only the cells missing from the store"
     );
 
-    // The assembled grid equals an uninterrupted serial sweep, exactly.
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, len).unwrap();
-    let cells: Vec<_> = resumed.into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(serial, cells, "resumed grid diverged from the uninterrupted run");
+    // The assembled grid equals an uninterrupted sweep, exactly.
+    let serial = uninterrupted(&specs, &base, len);
+    assert_eq!(serial, all_ok(resumed), "resumed grid diverged from the uninterrupted run");
 
     // Phase 3: a third invocation re-runs nothing at all.
-    let replayed = run_cells_resilient(
-        &specs,
-        &base,
-        &VARIANTS,
-        fp,
-        &opts,
-        make_cell_fn(Arc::clone(&calls)),
-    );
+    let replayed = run_grid_with(&specs, &base, &VARIANTS, len, &opts, counting(&calls, len));
     assert_eq!(calls.load(Ordering::SeqCst), specs.len() * VARIANTS.len());
-    let cells: Vec<_> = replayed.into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(serial, cells);
-
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(serial, all_ok(replayed));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Kill-mid-append crash safety, exhaustively: truncating the journal at
-/// **every byte offset** (simulating a kill at any instant of a write)
-/// must never lose an intact cell, never resurrect a torn one, and never
-/// break the loader.
+/// Kill-mid-append crash safety, exhaustively: cutting a store data file
+/// at **every byte offset** (a kill at any instant of a write) must
+/// never lose an intact cell, never serve a torn one, and never break a
+/// later publish — even when the index sidecar is gone, so every read
+/// is a scan of the data file.
 #[test]
-fn journal_truncated_at_every_byte_offset_recovers_all_intact_cells() {
-    let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
+fn store_data_file_cut_at_every_byte_offset_recovers_all_intact_cells() {
+    let specs = vec![workload("zeus").unwrap()];
     let base = small_base();
     let len = short();
-    let path = temp_journal("torn-every-offset");
-    let fp = journal::fingerprint(&base, len);
-    let opts = ResilienceOptions {
-        supervisor: quick_supervisor(),
-        journal: Some(path.clone()),
-        store: None,
-    };
-    let full = run_cells_resilient(&specs, &base, &VARIANTS, fp, &opts, move |s, b, v| {
-        run_variant(s, b, v, len)
-    });
-    assert!(full.iter().all(Result::is_ok));
-    let bytes = std::fs::read(&path).expect("journal written");
+    let fp = fingerprint(&base, len);
+    let dir = temp_store("torn-every-offset");
+    let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
+    let full = all_ok(run_grid(&specs, &base, &VARIANTS, len, &opts));
+    let data = dir.join(format!("{fp:016x}.jsonl"));
+    let bytes = std::fs::read(&data).expect("store data file written");
     assert_eq!(
         bytes.iter().filter(|&&b| b == b'\n').count(),
-        1 + specs.len() * VARIANTS.len(),
-        "header + one line per cell"
+        1 + full.len(),
+        "header + one record per cell"
     );
+    let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let keys: Vec<CellKey> =
+        full.iter().map(|c| CellKey::new(c.workload, c.variant, c.seed)).collect();
+    let extra = CellKey::new("published-after-the-cut", Variant::Base, base.seed);
 
-    let torn = temp_journal("torn-every-offset-cut");
-    for cut in 0..bytes.len() {
-        let prefix = &bytes[..cut];
-        std::fs::write(&torn, prefix).unwrap();
-        let j = journal::Journal::new(&torn, fp);
-        let snap = j.load().unwrap_or_else(|e| panic!("load failed at cut {cut}: {e}"));
-        let complete_lines = prefix.iter().filter(|&&b| b == b'\n').count();
-        let expected = complete_lines.saturating_sub(1); // header eats one line
-        assert_eq!(
-            snap.entries.len(),
-            expected,
-            "cut at byte {cut}: every cell whose line fully reached disk must survive"
-        );
-        assert!(snap.skipped.is_empty(), "cut at {cut}: a torn tail is repair, not corruption");
-        // The repair is physical: the file now ends at a record boundary,
-        // so appending resumes cleanly.
-        let on_disk = std::fs::read(&torn).unwrap_or_default();
-        assert!(
-            on_disk.is_empty() || on_disk.ends_with(b"\n"),
-            "cut at {cut}: repaired file must end on a record boundary"
-        );
+    let cut_dir = temp_store("torn-every-offset-cut");
+    let cut_data = cut_dir.join(format!("{fp:016x}.jsonl"));
+    let cut_index = cut_dir.join(format!("{fp:016x}.idx"));
+    for cut in 0..=bytes.len() {
+        let _ = std::fs::remove_dir_all(&cut_dir);
+        std::fs::create_dir_all(&cut_dir).unwrap();
+        std::fs::write(&cut_data, &bytes[..cut]).unwrap();
+        let intact = bytes[..cut].iter().filter(|&&b| b == b'\n').count().saturating_sub(1);
+
+        let store = ResultStore::with_capacity(&cut_dir, u64::MAX);
+        for (i, key) in keys.iter().enumerate() {
+            let want = (i < intact).then(|| full[i].result.clone());
+            assert_eq!(store.get(fp, key), want, "cut at {cut}: cell {i}");
+        }
+        if cut >= header_len {
+            assert_eq!(store.stats().corrupt_skipped, 0, "cut at {cut}: torn is not corrupt");
+        }
+        store.publish(fp, &extra, &full[0].result).unwrap();
+        drop(store);
+
+        // Re-read from the data file alone: the record published after
+        // the cut must not have been spliced onto the torn tail.
+        std::fs::remove_file(&cut_index).unwrap();
+        let store = ResultStore::with_capacity(&cut_dir, u64::MAX);
+        assert_eq!(store.get(fp, &extra), Some(full[0].result.clone()), "cut at {cut}");
+        for (i, key) in keys.iter().enumerate().take(intact) {
+            assert!(store.get(fp, key).is_some(), "cut at {cut}: cell {i} lost");
+        }
+        assert_eq!(store.stats().corrupt_skipped, 0, "cut at {cut}: no record corrupted");
     }
-    let _ = std::fs::remove_file(&torn);
+    let _ = std::fs::remove_dir_all(&cut_dir);
 
-    // Driver-level resume across a mid-record kill: truncate into the
-    // last record, then re-run the sweep. Only the torn cell re-runs and
-    // the assembled grid is bit-identical to the uninterrupted serial one.
-    let last_line_start = bytes[..bytes.len() - 1]
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .unwrap()
-        + 1;
-    let cut = last_line_start + (bytes.len() - 1 - last_line_start) / 2;
-    std::fs::write(&path, &bytes[..cut]).unwrap();
+    // Driver-level resume across a mid-record kill: cut into the last
+    // record, then re-run the sweep. Only the torn cell re-runs and the
+    // grid is bit-identical to the uninterrupted one.
+    let last_start = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    std::fs::write(&data, &bytes[..last_start + (bytes.len() - last_start) / 2]).unwrap();
     let calls = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&calls);
-    let resumed = run_cells_resilient(&specs, &base, &VARIANTS, fp, &opts, move |s, b, v| {
-        counter.fetch_add(1, Ordering::SeqCst);
-        run_variant(s, b, v, len)
-    });
+    let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
+    let resumed = run_grid_with(&specs, &base, &VARIANTS, len, &opts, counting(&calls, len));
     assert_eq!(calls.load(Ordering::SeqCst), 1, "only the torn cell re-runs");
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, len).unwrap();
-    let cells: Vec<_> = resumed.into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(serial, cells, "post-repair resume diverged from the uninterrupted run");
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(full, all_ok(resumed), "post-repair resume diverged from the uninterrupted run");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cell that keeps failing is journaled each time; once it reaches
-/// [`journal::MAX_CELL_FAILURES`] journaled failures, resume quarantines
-/// it — an explicit [`CellError::Quarantined`], zero re-runs — until the
-/// journal is deleted.
+/// A cell that keeps failing leaves a failure record in the store each
+/// time; once it has [`MAX_CELL_FAILURES`] of them, later sweeps
+/// quarantine it — an explicit [`CellError::Quarantined`], zero re-runs
+/// — across store reopens (index or no index) until the store's files
+/// for the configuration are deleted.
 #[test]
 fn repeatedly_failing_cell_is_quarantined_on_resume() {
     let specs = vec![workload("zeus").unwrap()];
     let base = small_base();
     let len = short();
     let variants = [Variant::Base];
-    let path = temp_journal("quarantine");
-    let fp = journal::fingerprint(&base, len);
-    let opts = ResilienceOptions {
-        supervisor: quick_supervisor(),
-        journal: Some(path.clone()),
-        store: None,
-    };
+    let dir = temp_store("quarantine");
     let calls = Arc::new(AtomicUsize::new(0));
     let failing = |calls: Arc<AtomicUsize>| {
-        move |_: &cmpsim_trace::WorkloadSpec, _: &SystemConfig, _: Variant| {
+        move |_: &WorkloadSpec, _: &SystemConfig, _: Variant| {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(SimError::InvariantViolation {
                 cycle: 1,
@@ -377,17 +358,14 @@ fn repeatedly_failing_cell_is_quarantined_on_resume() {
             })
         }
     };
+    let sweep = |calls: &Arc<AtomicUsize>| {
+        let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
+        run_grid_with(&specs, &base, &variants, len, &opts, failing(Arc::clone(calls)))
+    };
 
     // Strikes 1 and 2: the cell runs (and fails) each time.
-    for strike in 1..=journal::MAX_CELL_FAILURES {
-        let out = run_cells_resilient(
-            &specs,
-            &base,
-            &variants,
-            fp,
-            &opts,
-            failing(Arc::clone(&calls)),
-        );
+    for strike in 1..=MAX_CELL_FAILURES {
+        let out = sweep(&calls);
         assert!(
             matches!(&out[0], Err(CellError::Sim { .. })),
             "strike {strike} should surface the SimError: {:?}",
@@ -396,76 +374,71 @@ fn repeatedly_failing_cell_is_quarantined_on_resume() {
         assert_eq!(calls.load(Ordering::SeqCst) as u32, strike);
     }
 
-    // Strike 3: quarantined — the cell function must not even be called.
-    let out = run_cells_resilient(
-        &specs,
-        &base,
-        &variants,
-        fp,
-        &opts,
-        failing(Arc::clone(&calls)),
-    );
-    match &out[0] {
-        Err(CellError::Quarantined { workload, variant, failures }) => {
-            assert_eq!(*workload, "zeus");
-            assert_eq!(*variant, Variant::Base);
-            assert_eq!(*failures, journal::MAX_CELL_FAILURES);
+    // Then quarantined — the cell function must not even be called, on a
+    // fresh handle and again once the index has to be rebuilt.
+    let index = dir.join(format!("{:016x}.idx", fingerprint(&base, len)));
+    for drop_index in [false, true] {
+        if drop_index {
+            std::fs::remove_file(&index).unwrap();
         }
-        other => panic!("expected Quarantined, got {other:?}"),
+        let out = sweep(&calls);
+        match &out[0] {
+            Err(CellError::Quarantined { workload, variant, failures }) => {
+                assert_eq!(*workload, "zeus");
+                assert_eq!(*variant, Variant::Base);
+                assert_eq!(*failures, MAX_CELL_FAILURES);
+            }
+            other => panic!("expected Quarantined (index dropped: {drop_index}), got {other:?}"),
+        }
+        assert_eq!(
+            calls.load(Ordering::SeqCst) as u32,
+            MAX_CELL_FAILURES,
+            "a quarantined cell must not re-run"
+        );
+        let msg = out[0].as_ref().unwrap_err().to_string();
+        assert!(msg.contains("quarantined"), "error should explain itself: {msg}");
+        assert!(
+            msg.contains("delete the store's files for this configuration"),
+            "and name the remedy: {msg}"
+        );
     }
-    assert_eq!(
-        calls.load(Ordering::SeqCst) as u32,
-        journal::MAX_CELL_FAILURES,
-        "a quarantined cell must not re-run"
-    );
-    let msg = out[0].as_ref().unwrap_err().to_string();
-    assert!(msg.contains("quarantined"), "error should explain itself: {msg}");
-    assert!(msg.contains("delete the journal"), "and name the remedy: {msg}");
 
-    // Deleting the journal lifts the quarantine.
-    std::fs::remove_file(&path).unwrap();
-    let out = run_cells_resilient(
-        &specs,
-        &base,
-        &variants,
-        fp,
-        &opts,
-        failing(Arc::clone(&calls)),
-    );
+    // Deleting the store lifts the quarantine.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let out = sweep(&calls);
     assert!(matches!(&out[0], Err(CellError::Sim { .. })));
-    assert_eq!(calls.load(Ordering::SeqCst) as u32, journal::MAX_CELL_FAILURES + 1);
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(calls.load(Ordering::SeqCst) as u32, MAX_CELL_FAILURES + 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A journal written under one sweep definition must not poison a
-/// different one: changing the fingerprint resets the journal and every
-/// cell re-runs.
+/// Cells stored by one sweep definition must never be served to another:
+/// a changed length or configuration re-runs every cell against the same
+/// store, while the original sweep stays warm.
 #[test]
-fn changed_fingerprint_invalidates_the_journal() {
+fn changed_config_or_length_never_serves_other_sweeps_cells() {
     let specs = vec![workload("zeus").unwrap()];
-    let base = small_base();
-    let len = short();
-    let path = temp_journal("fingerprint");
-    let opts = ResilienceOptions {
-        supervisor: quick_supervisor(),
-        journal: Some(path.clone()),
-        store: None,
-    };
+    let dir = temp_store("fingerprint");
+    let opts = quick().with_store(ResultStore::with_capacity(&dir, u64::MAX));
     let calls = Arc::new(AtomicUsize::new(0));
-    for fp in [1u64, 2u64] {
-        let counter = Arc::clone(&calls);
-        let out = run_cells_resilient(&specs, &base, &VARIANTS, fp, &opts, move |s, b, v| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            run_variant(s, b, v, len)
-        });
-        assert!(out.iter().all(Result::is_ok));
+    let longer = SimLength { measure: short().measure + 1, ..short() };
+    let sweeps = [
+        (small_base(), short()),
+        (small_base(), longer),
+        (SystemConfig::paper_default(1).with_seed(11), short()),
+    ];
+    for (i, (base, len)) in sweeps.iter().enumerate() {
+        let out = run_grid_with(&specs, base, &VARIANTS, *len, &opts, counting(&calls, *len));
+        assert_eq!(all_ok(out), uninterrupted(&specs, base, *len), "sweep {i}");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            (i + 1) * VARIANTS.len(),
+            "sweep {i} must compute all its own cells"
+        );
     }
-    assert_eq!(
-        calls.load(Ordering::SeqCst),
-        2 * VARIANTS.len(),
-        "a fingerprint mismatch must discard the stale journal"
-    );
-    let _ = std::fs::remove_file(&path);
+    let (base, len) = &sweeps[0];
+    run_grid_with(&specs, base, &VARIANTS, *len, &opts, counting(&calls, *len));
+    assert_eq!(calls.load(Ordering::SeqCst), sweeps.len() * VARIANTS.len(), "first stays warm");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

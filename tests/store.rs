@@ -1,25 +1,24 @@
 //! Acceptance properties of the content-addressed result store:
 //!
 //! - **bit-inertness**: warm-store reruns return results bit-identical
-//!   to the cold run (and to `run_grid_serial`) at 1, 2 and 8 threads;
+//!   to the cold run (and to a storeless one-thread run) at 1, 2 and 8
+//!   threads;
 //! - **sweep dedup**: two overlapping sweeps sharing a store compute
 //!   each shared cell exactly once — sequentially (the second computes
 //!   only its delta) and concurrently (in-flight leases);
 //! - **corruption safety**: CRC-corrupted and torn records are skipped
-//!   and recomputed, never served;
+//!   and recomputed, never served, and a record published after a torn
+//!   tail survives the loss of the index;
 //! - **bounded size**: LRU eviction keeps the data files under budget
 //!   while the most recently used sweep stays warm;
-//! - the resilient driver consults the store too, and mirrors hits into
-//!   its journal so a journal-only resume stays complete.
+//! - the supervised driver's cell seam never runs a stored cell.
 
-use cmpsim::core::experiment::{
-    run_cells_resilient, run_grid_parallel_store, run_grid_resilient, run_grid_serial,
-    run_variant, ResilienceOptions, SimLength,
-};
-use cmpsim::core::journal;
+use cmpsim::core::experiment::{run_grid, run_grid_with, run_variant, RunOptions, SimLength};
+use cmpsim::core::record::fingerprint;
 use cmpsim::core::store::{CellKey, ResultStore};
-use cmpsim::{workload, SystemConfig, Variant};
+use cmpsim::{workload, GridCell, RunResult, SimStats, SystemConfig, Variant};
 use cmpsim_harness::Supervisor;
+use cmpsim_trace::WorkloadSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,6 +34,22 @@ fn small_base() -> SystemConfig {
     SystemConfig::paper_default(2).with_seed(11)
 }
 
+/// `run_grid` on `threads` workers (against `store`, if any), every cell
+/// required to succeed.
+fn grid(
+    specs: &[WorkloadSpec],
+    len: SimLength,
+    threads: usize,
+    store: Option<&Arc<ResultStore>>,
+) -> Vec<GridCell> {
+    let mut opts = RunOptions::threads(threads);
+    opts.store = store.cloned();
+    run_grid(specs, &small_base(), &VARIANTS, len, &opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
 /// A unique, pre-cleaned store directory for one test.
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -46,13 +61,11 @@ fn temp_store(name: &str) -> PathBuf {
 #[test]
 fn warm_store_is_bit_identical_at_1_2_and_8_threads() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
-    let base = small_base();
     let dir = temp_store("bit-identity");
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
+    let serial = grid(&specs, short(), 1, None);
 
     let cold_store = ResultStore::with_capacity(&dir, u64::MAX);
-    let cold =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &cold_store).unwrap();
+    let cold = grid(&specs, short(), 2, Some(&cold_store));
     // RunResult derives PartialEq over every counter and every f64, so
     // == here is bit-exactness, not approximation.
     assert_eq!(serial, cold, "store-fed cold run must match the serial engine");
@@ -60,9 +73,7 @@ fn warm_store_is_bit_identical_at_1_2_and_8_threads() {
 
     for threads in [1, 2, 8] {
         let warm_store = ResultStore::with_capacity(&dir, u64::MAX);
-        let warm =
-            run_grid_parallel_store(&specs, &base, &VARIANTS, short(), threads, &warm_store)
-                .unwrap();
+        let warm = grid(&specs, short(), threads, Some(&warm_store));
         assert_eq!(serial, warm, "warm store diverged at {threads} threads");
         let s = warm_store.stats();
         assert_eq!(s.published, 0, "warm rerun must compute 0 cells ({threads} threads)");
@@ -75,12 +86,11 @@ fn warm_store_is_bit_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn overlapping_sequential_sweeps_compute_only_the_delta() {
-    let base = small_base();
     let dir = temp_store("overlap-seq");
 
     let sweep_a = vec![workload("apsi").unwrap(), workload("mgrid").unwrap()];
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    run_grid_parallel_store(&sweep_a, &base, &VARIANTS, short(), 2, &store).unwrap();
+    grid(&sweep_a, short(), 2, Some(&store));
     assert_eq!(store.stats().published, 4);
 
     // Sweep B shares apsi/mgrid with A and adds art: only art's cells
@@ -92,13 +102,12 @@ fn overlapping_sequential_sweeps_compute_only_the_delta() {
         workload("art").unwrap(),
     ];
     let store_b = ResultStore::with_capacity(&dir, u64::MAX);
-    let cells_b =
-        run_grid_parallel_store(&sweep_b, &base, &VARIANTS, short(), 2, &store_b).unwrap();
+    let cells_b = grid(&sweep_b, short(), 2, Some(&store_b));
     let s = store_b.stats();
     assert_eq!(s.published, 2, "only art × 2 variants computed");
     assert_eq!(s.hits, 4, "apsi/mgrid served from sweep A's results");
     // And the shared cells are bit-identical to a from-scratch run.
-    let scratch = run_grid_serial(&sweep_b, &base, &VARIANTS, short()).unwrap();
+    let scratch = grid(&sweep_b, short(), 1, None);
     assert_eq!(scratch, cells_b);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -106,10 +115,9 @@ fn overlapping_sequential_sweeps_compute_only_the_delta() {
 #[test]
 fn concurrent_sweeps_sharing_a_store_compute_each_cell_once() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
-    let base = small_base();
     let dir = temp_store("overlap-concurrent");
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
+    let serial = grid(&specs, short(), 1, None);
 
     // Two identical sweeps race on one store handle. Leases guarantee
     // each of the 4 cells is simulated exactly once; the loser of each
@@ -117,11 +125,8 @@ fn concurrent_sweeps_sharing_a_store_compute_each_cell_once() {
     let threads: Vec<_> = (0..2)
         .map(|_| {
             let specs = specs.clone();
-            let base = base.clone();
             let store = Arc::clone(&store);
-            std::thread::spawn(move || {
-                run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &store).unwrap()
-            })
+            std::thread::spawn(move || grid(&specs, short(), 2, Some(&store)))
         })
         .collect();
     for t in threads {
@@ -140,12 +145,12 @@ fn corrupted_and_torn_records_are_recomputed_not_served() {
     let dir = temp_store("corruption");
 
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &store).unwrap();
+    let cold = grid(&specs, short(), 1, Some(&store));
     drop(store);
 
     // Flip a digit inside the first record's body and tear the tail off
     // the last one — an in-place bitrot plus a mid-append crash.
-    let fp = journal::fingerprint(&base, short());
+    let fp = fingerprint(&base, short());
     let data = dir.join(format!("{fp:016x}.jsonl"));
     let text = std::fs::read_to_string(&data).unwrap();
     let mangled = text.replacen("\"seed\":11", "\"seed\":91", 1);
@@ -155,12 +160,59 @@ fn corrupted_and_torn_records_are_recomputed_not_served() {
     let _ = std::fs::remove_file(dir.join(format!("{fp:016x}.idx")));
 
     let warm_store = ResultStore::with_capacity(&dir, u64::MAX);
-    let warm =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &warm_store).unwrap();
+    let warm = grid(&specs, short(), 1, Some(&warm_store));
     assert_eq!(cold, warm, "recomputed cells must be bit-identical");
     let s = warm_store.stats();
     assert_eq!(s.published, 2, "both damaged cells recomputed");
     assert!(s.corrupt_skipped >= 1, "the mangled record was detected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The regression the single torn-tail policy exists for: a record
+/// published after a kill tore the data file must survive the loss of
+/// the index. Appending onto the torn line used to splice the two
+/// records into one line that failed its CRC on the next scan, although
+/// the module docs promise the index is disposable.
+#[test]
+fn record_published_after_a_torn_tail_survives_index_loss() {
+    let dir = temp_store("torn-then-publish");
+    let fp = 0x7e57;
+    let result = |cycles: u64| RunResult {
+        stats: SimStats::default(),
+        cycles,
+        clock_ghz: 5,
+        events: 2 * cycles,
+        retired: 3 * cycles,
+        host_nanos: 1,
+    };
+    let (a, b, c) = (
+        CellKey::new("apsi", Variant::Base, 1),
+        CellKey::new("mgrid", Variant::Base, 1),
+        CellKey::new("art", Variant::Base, 1),
+    );
+    {
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        store.publish(fp, &a, &result(10)).unwrap();
+        store.publish(fp, &b, &result(20)).unwrap();
+    }
+    // Kill 20 bytes into b's record, and lose the index with it.
+    let data = dir.join(format!("{fp:016x}.jsonl"));
+    let index = dir.join(format!("{fp:016x}.idx"));
+    let text = std::fs::read_to_string(&data).unwrap();
+    let b_start = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+    std::fs::write(&data, &text[..b_start + 20]).unwrap();
+    std::fs::remove_file(&index).unwrap();
+    {
+        let store = ResultStore::with_capacity(&dir, u64::MAX);
+        store.publish(fp, &c, &result(30)).unwrap();
+        assert_eq!(store.get(fp, &c), Some(result(30)), "served in-session");
+    }
+    std::fs::remove_file(&index).unwrap();
+    let store = ResultStore::with_capacity(&dir, u64::MAX);
+    assert_eq!(store.get(fp, &a), Some(result(10)));
+    assert_eq!(store.get(fp, &b), None, "the torn record recomputes");
+    assert_eq!(store.get(fp, &c), Some(result(30)), "the later record survives");
+    assert_eq!(store.stats().corrupt_skipped, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -169,75 +221,51 @@ fn resilient_driver_uses_and_feeds_the_store() {
     let specs = vec![workload("apsi").unwrap(), workload("mgrid").unwrap()];
     let base = small_base();
     let dir = temp_store("resilient");
-    let journal_path = std::env::temp_dir()
-        .join(format!("cmpsim-store-it-{}-resilient.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
     let supervisor =
         Supervisor { threads: 2, deadline: None, retries: 0, backoff: Duration::from_millis(1) };
 
-    // Pre-warm the store with one sweep (no journal involved).
+    // Pre-warm the store with one sweep.
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &store).unwrap();
+    let warm = grid(&specs, short(), 2, Some(&store));
 
-    // A resilient sweep over the same grid must simulate nothing: every
+    // A supervised sweep over the same grid must simulate nothing: every
     // cell is a store hit, counted via the injected cell function.
     let calls = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&calls);
-    let opts = ResilienceOptions {
-        supervisor: supervisor.clone(),
-        journal: Some(journal_path.clone()),
-        store: Some(Arc::clone(&store)),
-    };
+    let opts = RunOptions { supervisor, store: Some(Arc::clone(&store)) };
     let len = short();
-    let fp = journal::fingerprint(&base, len);
-    let out = run_cells_resilient(&specs, &base, &VARIANTS, fp, &opts, move |s, b, v| {
+    let out = run_grid_with(&specs, &base, &VARIANTS, len, &opts, move |s, b, v| {
         counter.fetch_add(1, Ordering::SeqCst);
         run_variant(s, b, v, len)
     });
-    assert_eq!(calls.load(Ordering::SeqCst), 0, "warm resilient sweep computed a cell");
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "warm supervised sweep computed a cell");
     let cells: Vec<_> = out.into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(cells, run_grid_serial(&specs, &base, &VARIANTS, len).unwrap());
-
-    // Store hits were mirrored into the journal: a journal-only resume
-    // (store disabled) also computes nothing.
-    let calls2 = Arc::new(AtomicUsize::new(0));
-    let counter2 = Arc::clone(&calls2);
-    let opts = ResilienceOptions { supervisor, journal: Some(journal_path.clone()), store: None };
-    let out = run_cells_resilient(&specs, &base, &VARIANTS, fp, &opts, move |s, b, v| {
-        counter2.fetch_add(1, Ordering::SeqCst);
-        run_variant(s, b, v, len)
-    });
-    assert_eq!(calls2.load(Ordering::SeqCst), 0, "journal resume re-simulated a mirrored cell");
-    assert!(out.into_iter().all(|r| r.is_ok()));
-
-    let _ = std::fs::remove_file(&journal_path);
+    assert_eq!(cells, warm);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn run_grid_resilient_populates_the_store_for_later_sweeps() {
+fn run_grid_populates_the_store_for_later_sweeps() {
     let specs = vec![workload("zeus").unwrap()];
     let base = small_base();
     let dir = temp_store("resilient-feeds");
     let store = ResultStore::with_capacity(&dir, u64::MAX);
 
-    let opts = ResilienceOptions {
+    let opts = RunOptions {
         supervisor: Supervisor {
             threads: 2,
             deadline: None,
             retries: 0,
             backoff: Duration::from_millis(1),
         },
-        journal: None,
         store: Some(Arc::clone(&store)),
     };
-    let first = run_grid_resilient(&specs, &base, &VARIANTS, short(), &opts);
+    let first = run_grid(&specs, &base, &VARIANTS, short(), &opts);
     assert!(first.iter().all(|r| r.is_ok()));
     assert_eq!(store.stats().published, 2);
 
     // The published cells are directly addressable by key.
-    let fp = journal::fingerprint(&base, short());
+    let fp = fingerprint(&base, short());
     for &v in &VARIANTS {
         assert!(
             store.get(fp, &CellKey::new("zeus", v, base.seed)).is_some(),
@@ -250,14 +278,13 @@ fn run_grid_resilient_populates_the_store_for_later_sweeps() {
 #[test]
 fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     let specs = vec![workload("apsi").unwrap()];
-    let base = small_base();
     let dir = temp_store("lru-bound");
 
     // Size one sweep's data file, then budget for ~1.5 of them.
     let probe_dir = temp_store("lru-bound-probe");
     let probe = ResultStore::with_capacity(&probe_dir, u64::MAX);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &probe).unwrap();
-    let fp0 = journal::fingerprint(&base, short());
+    grid(&specs, short(), 1, Some(&probe));
+    let fp0 = fingerprint(&small_base(), short());
     let one = std::fs::metadata(probe_dir.join(format!("{fp0:016x}.jsonl"))).unwrap().len();
     let _ = std::fs::remove_dir_all(&probe_dir);
 
@@ -268,7 +295,7 @@ fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     let lens = [short(), SimLength { warmup: 2_000, measure: 8_100 },
         SimLength { warmup: 2_000, measure: 8_200 }];
     for len in lens {
-        run_grid_parallel_store(&specs, &base, &VARIANTS, len, 1, &store).unwrap();
+        grid(&specs, len, 1, Some(&store));
     }
     assert!(store.stats().evicted_files >= 1, "budget forced evictions");
     let total: u64 = std::fs::read_dir(&dir)
@@ -283,7 +310,7 @@ fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     assert!(total <= budget, "data files {total} bytes exceed budget {budget}");
     // The most recent sweep survived: re-running it computes nothing.
     let warm = ResultStore::with_capacity(&dir, budget);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, lens[2], 1, &warm).unwrap();
+    grid(&specs, lens[2], 1, Some(&warm));
     assert_eq!(warm.stats().published, 0, "most recently used sweep was evicted");
     let _ = std::fs::remove_dir_all(&dir);
 }
