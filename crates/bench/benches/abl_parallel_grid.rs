@@ -11,20 +11,17 @@ use cmpsim_bench::SEED;
 use cmpsim_core::experiment::{run_grid, GridCell, RunOptions, SimLength};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
+use cmpsim_harness::env_parse;
 use cmpsim_harness::pool::default_threads;
 use cmpsim_trace::all_workloads;
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
 
 fn main() {
     let base = SystemConfig::paper_default(8).with_seed(SEED);
     // Short per-cell runs by default so the sweep finishes in seconds;
     // override for a realistic-length measurement.
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(20_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(80_000),
+        warmup: env_parse("CMPSIM_WARMUP").unwrap_or(20_000),
+        measure: env_parse("CMPSIM_MEASURE").unwrap_or(80_000),
     };
     let specs = all_workloads();
     let variants = [

@@ -16,6 +16,7 @@ use cmpsim_core::report::grid_digest;
 use cmpsim_core::store::ResultStore;
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
+use cmpsim_harness::env_parse;
 use cmpsim_trace::all_workloads;
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,14 +24,10 @@ use std::time::Instant;
 const VARIANTS: [Variant; 4] =
     [Variant::Base, Variant::BothCompression, Variant::Prefetch, Variant::PrefetchCompression];
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
 fn main() {
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(5_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(20_000),
+        warmup: env_parse("CMPSIM_WARMUP").unwrap_or(5_000),
+        measure: env_parse("CMPSIM_MEASURE").unwrap_or(20_000),
     };
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);

@@ -19,22 +19,19 @@ use cmpsim_core::report::{
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_fpc::{CodecKind, LINE_BYTES};
 use cmpsim_harness::bench::Runner;
+use cmpsim_harness::env_parse;
 use cmpsim_trace::{all_workloads, LineClass};
 
 const VARIANTS: [Variant; 4] =
     [Variant::Base, Variant::BothCompression, Variant::Prefetch, Variant::PrefetchCompression];
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
 
 fn main() {
     // Smoke lengths by default (the CI baseline grid); the figure
     // harnesses' standard lengths are ~20× longer and only change the
     // absolute rates, not the variant-to-variant shape.
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(5_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(20_000),
+        warmup: env_parse("CMPSIM_WARMUP").unwrap_or(5_000),
+        measure: env_parse("CMPSIM_MEASURE").unwrap_or(20_000),
     };
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);
@@ -116,7 +113,7 @@ const CODEC_LINES: usize = 256;
 /// reference decoder measured alongside the dispatch-table/SWAR fast path
 /// so decode speedups stay visible.
 fn codec_throughput_bench() {
-    let iters = env_u64("CMPSIM_CODEC_ITERS").unwrap_or(200) as u32;
+    let iters = env_parse::<u64>("CMPSIM_CODEC_ITERS").unwrap_or(200) as u32;
     let mut r = Runner::new("codec_throughput", 1, 3);
     let mut rows = Vec::new();
     for (label, class) in CODEC_CLASSES {

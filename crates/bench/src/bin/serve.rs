@@ -1,21 +1,13 @@
 //! `cmpsim serve` — a sweep daemon in front of the content-addressed
 //! result store.
 //!
-//! Reads flat-JSON sweep requests one per line (the store framing:
-//! string and integer values only) and streams back one JSONL
-//! record per cell plus a summary with store hit/miss telemetry. Every
-//! sweep a daemon process handles shares one [`ResultStore`] handle, so
-//! two overlapping requests compute each shared cell exactly once (the
-//! second rides the first's in-flight lease) and any later request is
-//! served from the store without simulating at all.
-//!
-//! Transports:
-//!
-//! - default: requests on stdin, responses on stdout — one process per
-//!   client, store sharing across processes via the store directory;
-//! - `--socket <path>`: a unix-domain socket; each connection is a
-//!   request stream answered on the same connection, all connections
-//!   served concurrently against the shared in-process store.
+//! Reads flat-JSON sweep requests one per line on stdin (the store
+//! framing: string and integer values only) and streams back on stdout
+//! one JSONL record per cell plus a summary with store hit/miss
+//! telemetry. Every sweep a daemon process handles shares one
+//! [`ResultStore`] handle, and daemons share work across processes
+//! through the store directory: a cell any of them published is served
+//! from the store without simulating at all.
 //!
 //! Request fields (`workloads`/`variants` are comma-separated lists;
 //! both accept `all`, `variants` defaults to the four headline configs):
@@ -24,7 +16,6 @@
 //! {"sweep":"warm","workloads":"apsi,mgrid","variants":"base,pf",
 //!  "cores":4,"seed":11,"warmup":5000,"measure":20000,"threads":4}
 //! {"metrics":1}
-//! {"metrics":1,"format":"prometheus"}
 //! {"shutdown":1}
 //! ```
 //!
@@ -33,37 +24,27 @@
 //! hit rate for exactly this sweep plus the full [`StoreStats`] delta
 //! (published/lease-wait/eviction/resident-byte telemetry).
 //! `{"metrics":1}` answers with one flat-JSON line snapshotting the
-//! whole service-metric registry (`store_*`, `grid_*`, `serve_*`
-//! counters, gauges and latency quantiles); the `prometheus` format
-//! variant answers with a Prometheus text block instead (multi-line,
-//! terminated by a blank line — the one deliberate departure from the
-//! JSONL protocol).
-//!
-//! Every request carries a connection id and per-connection request id,
-//! threaded into the structured access log (`--access-log <path>` or
-//! `CMPSIM_ACCESS_LOG`): a crash-safe sealed JSONL file
-//! ([`cmpsim_core::seallog`]) whose header goes through tempfile +
-//! atomic rename and whose records are CRC-sealed single writes, so a
-//! killed daemon never leaves a torn artifact. Example session:
+//! whole service-metric registry: the `grid_*` and `serve_*` counters
+//! and latency quantiles, plus the store's `StoreStats` copied into
+//! `store_*` gauges just before the snapshot. Example session:
 //!
 //! ```sh
 //! printf '%s\n' '{"sweep":"s","workloads":"apsi","cores":2,"warmup":2000,"measure":8000}' \
 //!   | CMPSIM_STORE=target/store cargo run --release -p cmpsim-bench --bin serve
 //! ```
+//!
+//! [`StoreStats`]: cmpsim_core::store::StoreStats
 
 use cmpsim_core::experiment::{run_grid, RunOptions, SimLength};
 use cmpsim_core::flatjson::{parse_flat, JsonVal};
 use cmpsim_core::record::fingerprint;
-use cmpsim_core::seallog::{SealedLog, ACCESS_LOG_HEADER};
 use cmpsim_core::store::{CellKey, ResultStore};
 use cmpsim_core::{CodecKind, SystemConfig, Variant};
 use cmpsim_harness::metrics::{self, Counter, Histogram};
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io::{BufRead, Write};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The four headline configurations (the paper's Table 2 sweep).
@@ -87,14 +68,12 @@ struct Request {
 enum Parsed {
     Sweep(Box<Request>),
     /// `{"metrics":1}` — snapshot the service-metric registry.
-    Metrics { prometheus: bool },
+    Metrics,
     Shutdown,
 }
 
 /// Request-path service metrics, registered under `serve_*` names.
-/// `None` when `CMPSIM_METRICS=0`.
 struct ServeMetrics {
-    connections: Counter,
     requests: Counter,
     sweeps: Counter,
     cells: Counter,
@@ -103,43 +82,14 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn arm() -> Option<Arc<ServeMetrics>> {
-        if !metrics::enabled() {
-            return None;
-        }
+    fn new() -> ServeMetrics {
         let r = metrics::global();
-        Some(Arc::new(ServeMetrics {
-            connections: r.counter("serve_connections"),
+        ServeMetrics {
             requests: r.counter("serve_requests"),
             sweeps: r.counter("serve_sweeps"),
             cells: r.counter("serve_cells"),
             errors: r.counter("serve_errors"),
             request_nanos: r.histogram("serve_request_nanos"),
-        }))
-    }
-}
-
-/// Per-connection context: ids for the access log plus the shared
-/// metric handles and (optional) sealed access log.
-struct Ctx {
-    conn: u64,
-    metrics: Option<Arc<ServeMetrics>>,
-    log: Option<Arc<Mutex<SealedLog>>>,
-}
-
-impl Ctx {
-    /// Appends one access-log record; `sweep` is already sanitized.
-    fn log_request(&self, req_id: u64, kind: &str, sweep: &str, cells: usize, t0: Instant) {
-        let Some(log) = &self.log else { return };
-        let elapsed_us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let body = format!(
-            "{{\"conn\":{},\"req\":{req_id},\"kind\":\"{kind}\",\"sweep\":\"{sweep}\",\
-             \"cells\":{cells},\"elapsed_us\":{elapsed_us}",
-            self.conn,
-        );
-        let mut log = log.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = log.append(body) {
-            eprintln!("cmpsim serve: access log append failed: {e}");
         }
     }
 }
@@ -158,7 +108,7 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
     let str_field = |k: &str| map.get(k).and_then(JsonVal::as_str);
     let num_field = |k: &str| map.get(k).and_then(JsonVal::as_u64);
     if num_field("metrics") == Some(1) {
-        return Ok(Parsed::Metrics { prometheus: str_field("format") == Some("prometheus") });
+        return Ok(Parsed::Metrics);
     }
 
     let sweep = str_field("sweep").unwrap_or("sweep").to_string();
@@ -282,80 +232,46 @@ fn serve_sweep(
     Ok(cells.len())
 }
 
-/// Answers `{"metrics":1}`: refreshes the store-occupancy gauge, then
-/// writes the registry snapshot as one flat-JSON line (or a Prometheus
-/// text block when requested).
-fn serve_metrics(
-    store: &Arc<ResultStore>,
-    prometheus: bool,
-    out: &mut dyn Write,
-) -> std::io::Result<()> {
-    store.resident_bytes();
-    let snap = metrics::global().snapshot();
-    if prometheus {
-        out.write_all(snap.to_prometheus().as_bytes())?;
-        out.write_all(b"\n")?;
-    } else {
-        writeln!(out, "{}", snap.to_flat_json())?;
-    }
+/// Answers `{"metrics":1}`: copies the store's counts into the
+/// registry, then writes the registry snapshot as one flat-JSON line.
+fn serve_metrics(store: &ResultStore, out: &mut dyn Write) -> std::io::Result<()> {
+    store.export_metrics();
+    writeln!(out, "{}", metrics::global().snapshot().to_flat_json())?;
     out.flush()
 }
 
-/// Handles one request stream: a line per sweep until EOF or shutdown.
-/// Returns whether a shutdown request was seen.
-fn serve_stream(
+/// Handles the request stream: a line per request until EOF or a
+/// shutdown request.
+fn serve(
     reader: impl BufRead,
     out: &mut dyn Write,
     store: &Arc<ResultStore>,
-    ctx: &Ctx,
-) -> std::io::Result<bool> {
-    if let Some(m) = &ctx.metrics {
-        m.connections.inc();
-    }
-    let mut req_id = 0u64;
+) -> std::io::Result<()> {
+    let m = ServeMetrics::new();
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        req_id += 1;
         let t0 = Instant::now();
-        if let Some(m) = &ctx.metrics {
-            m.requests.inc();
-        }
+        m.requests.inc();
         match parse_request(&line) {
             Ok(Parsed::Sweep(req)) => {
                 let cells = serve_sweep(&req, store, out)?;
-                if let Some(m) = &ctx.metrics {
-                    m.sweeps.inc();
-                    m.cells.add(cells as u64);
-                    m.request_nanos.record_elapsed(t0);
-                }
-                ctx.log_request(req_id, "sweep", &sanitize(&req.sweep), cells, t0);
+                m.sweeps.inc();
+                m.cells.add(cells as u64);
             }
-            Ok(Parsed::Metrics { prometheus }) => {
-                serve_metrics(store, prometheus, out)?;
-                if let Some(m) = &ctx.metrics {
-                    m.request_nanos.record_elapsed(t0);
-                }
-                ctx.log_request(req_id, "metrics", "", 0, t0);
-            }
-            Ok(Parsed::Shutdown) => {
-                ctx.log_request(req_id, "shutdown", "", 0, t0);
-                return Ok(true);
-            }
+            Ok(Parsed::Metrics) => serve_metrics(store, out)?,
+            Ok(Parsed::Shutdown) => return Ok(()),
             Err(e) => {
                 writeln!(out, "{{\"error\":\"{}\"}}", sanitize(&e))?;
                 out.flush()?;
-                if let Some(m) = &ctx.metrics {
-                    m.errors.inc();
-                    m.request_nanos.record_elapsed(t0);
-                }
-                ctx.log_request(req_id, "parse_error", "", 0, t0);
+                m.errors.inc();
             }
         }
+        m.request_nanos.record_elapsed(t0);
     }
-    Ok(false)
+    Ok(())
 }
 
 /// The daemon's closing summary: the full lifetime [`StoreStats`] of
@@ -378,96 +294,13 @@ fn closing_summary(store: &Arc<ResultStore>) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut socket: Option<String> = None;
-    let mut access_log: Option<String> = std::env::var("CMPSIM_ACCESS_LOG").ok();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match (flag.as_str(), it.next()) {
-            ("--socket", Some(path)) => socket = Some(path.clone()),
-            ("--access-log", Some(path)) => access_log = Some(path.clone()),
-            _ => {
-                eprintln!(
-                    "usage: serve [--socket <path>] [--access-log <path>]   \
-                     (requests on stdin by default; CMPSIM_ACCESS_LOG also sets the log)"
-                );
-                std::process::exit(2);
-            }
-        }
+    if std::env::args().len() > 1 {
+        eprintln!("usage: serve   (requests on stdin, responses on stdout)");
+        std::process::exit(2);
     }
-
     let store = ResultStore::open_default();
     eprintln!("cmpsim serve: store at {}", store.dir().display());
-    let serve_metrics = ServeMetrics::arm();
-    let log = access_log.and_then(|path| match SealedLog::open(&path, ACCESS_LOG_HEADER) {
-        Ok(log) => {
-            eprintln!("cmpsim serve: access log at {path}");
-            Some(Arc::new(Mutex::new(log)))
-        }
-        Err(e) => {
-            eprintln!("cmpsim serve: cannot open access log {path}: {e}");
-            None
-        }
-    });
-
-    match socket {
-        None => {
-            let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            let ctx = Ctx { conn: 1, metrics: serve_metrics, log };
-            serve_stream(stdin.lock(), &mut stdout, &store, &ctx)
-                .expect("stdio transport failed");
-            closing_summary(&store);
-        }
-        Some(path) => {
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)
-                .unwrap_or_else(|e| panic!("cannot bind {path}: {e}"));
-            eprintln!("cmpsim serve: listening on {path}");
-            let shutdown = Arc::new(AtomicBool::new(false));
-            let conn_ids = AtomicU64::new(0);
-            let mut workers = Vec::new();
-            for conn in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let conn = match conn {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("cmpsim serve: accept failed: {e}");
-                        continue;
-                    }
-                };
-                // Concurrent connections share the store handle — this is
-                // where overlapping sweeps dedup against each other.
-                let store = Arc::clone(&store);
-                let shutdown = Arc::clone(&shutdown);
-                let sock_path = path.clone();
-                let ctx = Ctx {
-                    conn: conn_ids.fetch_add(1, Ordering::Relaxed) + 1,
-                    metrics: serve_metrics.clone(),
-                    log: log.clone(),
-                };
-                workers.push(std::thread::spawn(move || {
-                    let reader = BufReader::new(conn.try_clone().expect("clone socket"));
-                    let mut writer = conn;
-                    match serve_stream(reader, &mut writer, &store, &ctx) {
-                        Ok(true) => {
-                            shutdown.store(true, Ordering::SeqCst);
-                            // Unblock the accept loop so it can observe
-                            // the flag and exit.
-                            let _ = std::os::unix::net::UnixStream::connect(&sock_path);
-                        }
-                        Ok(false) => {}
-                        Err(e) => eprintln!("cmpsim serve: connection failed: {e}"),
-                    }
-                }));
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-            let _ = std::fs::remove_file(&path);
-            closing_summary(&store);
-        }
-    }
+    serve(std::io::stdin().lock(), &mut std::io::stdout(), &store)
+        .expect("stdio transport failed");
+    closing_summary(&store);
 }

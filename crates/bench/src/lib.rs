@@ -7,6 +7,7 @@
 
 use cmpsim_core::experiment::{run_grid, RunOptions, SimLength, VariantGrid};
 use cmpsim_core::{SystemConfig, Variant};
+use cmpsim_harness::env_parse;
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 
 /// Paper reference values used in the `paper` columns of the harnesses.
@@ -24,13 +25,9 @@ pub const SEED: u64 = 11;
 /// fidelity for wall-clock time.
 pub fn sim_length() -> SimLength {
     let std = SimLength::standard();
-    let warmup = env_u64("CMPSIM_WARMUP").unwrap_or(std.warmup);
-    let measure = env_u64("CMPSIM_MEASURE").unwrap_or(std.measure);
+    let warmup = env_parse("CMPSIM_WARMUP").unwrap_or(std.warmup);
+    let measure = env_parse("CMPSIM_MEASURE").unwrap_or(std.measure);
     SimLength { warmup, measure }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Runs `variants` for every paper workload, fanning the whole

@@ -12,7 +12,7 @@ use crate::stats::RunResult;
 use crate::store::{CellKey, Lease, ResultStore, MAX_CELL_FAILURES};
 use crate::system::System;
 use cmpsim_harness::metrics as svc_metrics;
-use cmpsim_harness::metrics::{Counter, Gauge, Histogram};
+use cmpsim_harness::metrics::{Counter, Histogram};
 use cmpsim_harness::telemetry::{progress_enabled, CellState, GridProgress, Heartbeat};
 use cmpsim_harness::{run_supervised, JobOutcome, Supervisor};
 use cmpsim_trace::WorkloadSpec;
@@ -21,9 +21,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Service-metric handles for the grid driver, registered in the global
-/// [`svc_metrics`] registry under `grid_*` names. `None` when
-/// `CMPSIM_METRICS=0`. Observe-only, like [`GridProgress`]: recording
-/// feeds nothing back into scheduling or results.
+/// [`svc_metrics`] registry under `grid_*` names. Observe-only, like
+/// [`GridProgress`]: recording feeds nothing back into scheduling or
+/// results.
 struct GridMetrics {
     computed: Counter,
     cached: Counter,
@@ -31,24 +31,19 @@ struct GridMetrics {
     retries: Counter,
     quarantined: Counter,
     compute_nanos: Histogram,
-    queue_depth: Gauge,
 }
 
 impl GridMetrics {
-    fn arm() -> Option<Arc<GridMetrics>> {
-        if !svc_metrics::enabled() {
-            return None;
-        }
+    fn new() -> Arc<GridMetrics> {
         let r = svc_metrics::global();
-        Some(Arc::new(GridMetrics {
+        Arc::new(GridMetrics {
             computed: r.counter("grid_cells_computed"),
             cached: r.counter("grid_cells_cached"),
             failed: r.counter("grid_cells_failed"),
             retries: r.counter("grid_retries"),
             quarantined: r.counter("grid_cells_quarantined"),
             compute_nanos: r.histogram("grid_cell_compute_nanos"),
-            queue_depth: r.gauge("grid_queue_depth"),
-        }))
+        })
     }
 }
 
@@ -272,7 +267,7 @@ where
     let fp = record::fingerprint(base, len);
     let seed = base.seed;
     let cell = |workload, variant, result| GridCell { workload, variant, seed, result };
-    let gm = GridMetrics::arm();
+    let gm = GridMetrics::new();
     let cell_fn = Arc::new(cell_fn);
     let mut out: Vec<Option<Result<GridCell, CellError>>> = Vec::new();
     let mut jobs = Vec::new();
@@ -288,9 +283,7 @@ where
                 if let Some(result) = store.get(fp, &key) {
                     out.push(Some(Ok(cell(spec.name, variant, result))));
                     progress.cell_cached(idx);
-                    if let Some(gm) = &gm {
-                        gm.cached.inc();
-                    }
+                    gm.cached.inc();
                     continue;
                 }
                 let failures = store.failures(fp, &key);
@@ -301,9 +294,7 @@ where
                         failures,
                     })));
                     progress.cell_finished(idx, false, 0, 0);
-                    if let Some(gm) = &gm {
-                        gm.quarantined.inc();
-                    }
+                    gm.quarantined.inc();
                     continue;
                 }
             }
@@ -314,7 +305,7 @@ where
             let cell_fn = Arc::clone(&cell_fn);
             let store = opts.store.clone();
             let progress = Arc::clone(progress);
-            let gm = gm.clone();
+            let gm = Arc::clone(&gm);
             jobs.push(move || -> Result<RunResult, SimError> {
                 // An overlapping sweep on the same store may have
                 // produced (or be producing) this cell since the consult
@@ -325,10 +316,7 @@ where
                     match s.lease(fp, &key) {
                         Lease::Hit(result) => {
                             progress.cell_cached(idx);
-                            if let Some(gm) = &gm {
-                                gm.cached.inc();
-                                gm.queue_depth.sub(1);
-                            }
+                            gm.cached.inc();
                             return Ok(result);
                         }
                         Lease::Compute(l) => lease = Some(l),
@@ -337,10 +325,8 @@ where
                 // A supervised retry re-enters this body with the slot
                 // already marked Running/Retrying: that re-entry is the
                 // retry the `grid_retries` counter tallies.
-                if let Some(gm) = &gm {
-                    if matches!(progress.state(idx), CellState::Running | CellState::Retrying) {
-                        gm.retries.inc();
-                    }
+                if matches!(progress.state(idx), CellState::Running | CellState::Retrying) {
+                    gm.retries.inc();
                 }
                 progress.cell_started(idx);
                 let compute_start = Instant::now();
@@ -348,20 +334,13 @@ where
                 match &result {
                     Ok(r) => {
                         progress.cell_finished(idx, true, r.events, r.host_nanos);
-                        if let Some(gm) = &gm {
-                            gm.computed.inc();
-                            gm.compute_nanos.record_elapsed(compute_start);
-                        }
+                        gm.computed.inc();
+                        gm.compute_nanos.record_elapsed(compute_start);
                     }
                     Err(_) => {
                         progress.cell_finished(idx, false, 0, 0);
-                        if let Some(gm) = &gm {
-                            gm.failed.inc();
-                        }
+                        gm.failed.inc();
                     }
-                }
-                if let Some(gm) = &gm {
-                    gm.queue_depth.sub(1);
                 }
                 // Publish inside the job so a later kill loses only
                 // cells that had not finished.
@@ -375,9 +354,6 @@ where
         }
     }
 
-    if let Some(gm) = &gm {
-        gm.queue_depth.add(jobs.len() as u64);
-    }
     let outcomes = run_supervised(&opts.supervisor, jobs);
     for ((slot, workload, variant), outcome) in job_slots.into_iter().zip(outcomes) {
         // Panicked/timed-out jobs never reached their own `cell_finished`;
@@ -387,10 +363,7 @@ where
         if !matches!(progress.state(slot), CellState::Done | CellState::Failed | CellState::Cached)
         {
             progress.cell_finished(slot, false, 0, 0);
-            if let Some(gm) = &gm {
-                gm.failed.inc();
-                gm.queue_depth.sub(1);
-            }
+            gm.failed.inc();
         }
         let resolved = match outcome {
             JobOutcome::Ok(Ok(result)) => Ok(cell(workload, variant, result)),

@@ -1,6 +1,6 @@
 //! Flat-JSON record framing shared by every sealed file ([`seallog`]
-//! (crate::seallog): the result store and the serve access log) and by
-//! the `serve` daemon's request parser.
+//! (crate::seallog): the result store's files) and by the `serve`
+//! daemon's request parser.
 //!
 //! The on-disk files are append-only JSONL files of *flat* objects —
 //! string and `u64` values only, no nesting, no escapes, no floats

@@ -1,6 +1,5 @@
 //! Crash-safe sealed JSONL files — the one on-disk record primitive under
-//! the result store (data, index and LRU files) and the serve daemon's
-//! access log.
+//! the result store (data, index and LRU files).
 //!
 //! A sealed file is an append-only JSONL file whose first line is a
 //! caller-chosen header, written through a tempfile + atomic rename so
@@ -22,9 +21,6 @@ use crate::flatjson::{self, JsonVal};
 use std::fs;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-
-/// Header of the serve daemon's access log.
-pub const ACCESS_LOG_HEADER: &str = "{\"cmpsim_log\":1}";
 
 /// `path` with `suffix` appended to its file name.
 fn sibling(path: &Path, suffix: &str) -> PathBuf {
@@ -223,7 +219,7 @@ pub fn read_at(path: &Path, offset: u64, len: u32) -> Result<Vec<(String, JsonVa
 mod tests {
     use super::*;
 
-    const HEADER: &str = ACCESS_LOG_HEADER;
+    const HEADER: &str = "{\"cmpsim_log\":1}";
 
     fn temp_log(name: &str) -> PathBuf {
         let dir =

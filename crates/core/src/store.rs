@@ -18,8 +18,9 @@
 //!   [`CellError::Quarantined`](crate::CellError::Quarantined) instead of
 //!   being retried forever.
 //!
-//! On-disk layout (under [`default_store_dir`], overridable via
-//! `CMPSIM_STORE`), every file a [`seallog`] sealed file:
+//! On-disk layout (under `target/store`, overridable via `CMPSIM_STORE`;
+//! see [`ResultStore::open_default`]), every file a [`seallog`] sealed
+//! file:
 //!
 //! ```text
 //! target/store/
@@ -63,13 +64,12 @@ use crate::flatjson::JsonVal;
 use crate::record::{self, Record};
 use crate::seallog::{self, SealedLog};
 use crate::stats::RunResult;
-use cmpsim_harness::metrics::{self, Counter, Gauge, Histogram};
+use cmpsim_harness::metrics;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Store format version, written into every file header. Bumping it
 /// orphans old files (they stop matching and are eventually evicted).
@@ -237,43 +237,6 @@ struct Inner {
     stats: StoreStats,
 }
 
-/// Global-registry handles mirroring [`StoreStats`], resolved once per
-/// store handle (`None` when `CMPSIM_METRICS=0`). Every bump is a
-/// relaxed atomic beside the existing `StoreStats` field update —
-/// observe-only, nothing feeds back into what a sweep computes.
-#[derive(Debug)]
-struct StoreMetrics {
-    hits: Counter,
-    misses: Counter,
-    published: Counter,
-    shared_waits: Counter,
-    corrupt_skipped: Counter,
-    evicted_files: Counter,
-    evicted_bytes: Counter,
-    resident_bytes: Gauge,
-    lease_wait_nanos: Histogram,
-}
-
-impl StoreMetrics {
-    fn arm() -> Option<StoreMetrics> {
-        if !metrics::enabled() {
-            return None;
-        }
-        let r = metrics::global();
-        Some(StoreMetrics {
-            hits: r.counter("store_hits"),
-            misses: r.counter("store_misses"),
-            published: r.counter("store_published"),
-            shared_waits: r.counter("store_shared_waits"),
-            corrupt_skipped: r.counter("store_corrupt_skipped"),
-            evicted_files: r.counter("store_evicted_files"),
-            evicted_bytes: r.counter("store_evicted_bytes"),
-            resident_bytes: r.gauge("store_resident_bytes"),
-            lease_wait_nanos: r.histogram("store_lease_wait_nanos"),
-        })
-    }
-}
-
 /// A persistent, content-addressed store of experiment results. See the
 /// module docs for layout, keying, eviction and the concurrency model.
 #[derive(Debug)]
@@ -282,29 +245,6 @@ pub struct ResultStore {
     max_bytes: u64,
     inner: Mutex<Inner>,
     published_cond: Condvar,
-    metrics: Option<StoreMetrics>,
-}
-
-/// Default store directory: `CMPSIM_STORE`, else
-/// `$CARGO_TARGET_DIR/store`, else `store` under the nearest enclosing
-/// `target/` directory, else `./target/store`.
-pub fn default_store_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_STORE") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("store");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("store");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/store");
-        }
-    }
 }
 
 fn data_header(fp: u64) -> String {
@@ -366,10 +306,10 @@ impl ResultStore {
         Self::with_capacity(dir, max_bytes)
     }
 
-    /// Opens the default store ([`default_store_dir`], i.e. honoring
-    /// `CMPSIM_STORE`).
+    /// Opens the default store: `CMPSIM_STORE`, else `store` under the
+    /// build's target directory ([`cmpsim_harness::target_dir`]).
     pub fn open_default() -> Arc<ResultStore> {
-        Self::open(default_store_dir())
+        Self::open(cmpsim_harness::target_dir("CMPSIM_STORE", "store"))
     }
 
     /// [`open`](Self::open) with an explicit size budget in bytes.
@@ -379,7 +319,6 @@ impl ResultStore {
             max_bytes: max_bytes.max(1),
             inner: Mutex::new(Inner::default()),
             published_cond: Condvar::new(),
-            metrics: StoreMetrics::arm(),
         };
         {
             let mut inner = store.lock();
@@ -399,15 +338,31 @@ impl ResultStore {
     }
 
     /// Total bytes of fingerprint data files currently on disk, scanned
-    /// fresh. Also refreshes the `store_resident_bytes` gauge, so a
-    /// metrics snapshot taken right after reflects reality even when no
-    /// eviction pass has run yet.
+    /// fresh.
     pub fn resident_bytes(&self) -> u64 {
-        let total = self.data_files().iter().map(|&(_, bytes)| bytes).sum();
-        if let Some(m) = &self.metrics {
-            m.resident_bytes.set(total);
+        self.data_files().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// Copies this handle's [`StoreStats`] and [`resident_bytes`]
+    /// (Self::resident_bytes) into `store_*` gauges of the global
+    /// metrics registry, so a snapshot taken right after reports the
+    /// store. `StoreStats` is the one count of every store event; this is
+    /// how it reaches the registry.
+    pub fn export_metrics(&self) {
+        let s = self.stats();
+        let r = metrics::global();
+        for (name, v) in [
+            ("store_hits", s.hits),
+            ("store_misses", s.misses),
+            ("store_published", s.published),
+            ("store_shared_waits", s.shared_waits),
+            ("store_corrupt_skipped", s.corrupt_skipped),
+            ("store_evicted_files", s.evicted_files),
+            ("store_evicted_bytes", s.evicted_bytes),
+            ("store_resident_bytes", self.resident_bytes()),
+        ] {
+            r.gauge(name).set(v);
         }
-        total
     }
 
     /// Non-blocking lookup: the stored result for `(fp, key)`, if any.
@@ -417,7 +372,7 @@ impl ResultStore {
         let mut inner = self.lock();
         let found = self.lookup(&mut inner, fp, key);
         if found.is_some() {
-            self.count_hit(&mut inner);
+            inner.stats.hits += 1;
         }
         found
     }
@@ -445,24 +400,17 @@ impl ResultStore {
     /// sweeps share a store and still compute every cell exactly once.
     pub fn lease(self: &Arc<Self>, fp: u64, key: &CellKey) -> Lease {
         let mut inner = self.lock();
-        // Wait time is measured from the first block to the handoff —
-        // the `store_lease_wait_nanos` histogram is how lease contention
-        // between overlapping sweeps shows up in a metrics snapshot.
-        let mut wait_start: Option<Instant> = None;
+        let mut waited = false;
         loop {
             if let Some(r) = self.lookup(&mut inner, fp, key) {
-                self.count_hit(&mut inner);
-                if let Some(t0) = wait_start {
+                inner.stats.hits += 1;
+                if waited {
                     inner.stats.shared_waits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.shared_waits.inc();
-                        m.lease_wait_nanos.record_elapsed(t0);
-                    }
                 }
                 return Lease::Hit(r);
             }
             if inner.pending.contains_key(&(fp, key.clone())) {
-                wait_start.get_or_insert_with(Instant::now);
+                waited = true;
                 inner = self
                     .published_cond
                     .wait(inner)
@@ -471,14 +419,6 @@ impl ResultStore {
             }
             inner.pending.insert((fp, key.clone()), ());
             inner.stats.misses += 1;
-            if let Some(m) = &self.metrics {
-                m.misses.inc();
-                if let Some(t0) = wait_start {
-                    // Waited on a claim that was abandoned; the compute
-                    // handed off to us.
-                    m.lease_wait_nanos.record_elapsed(t0);
-                }
-            }
             return Lease::Compute(ComputeLease {
                 store: Arc::clone(self),
                 fp,
@@ -534,20 +474,6 @@ impl ResultStore {
         self.dir.join("lru.jsonl")
     }
 
-    fn count_hit(&self, inner: &mut Inner) {
-        inner.stats.hits += 1;
-        if let Some(m) = &self.metrics {
-            m.hits.inc();
-        }
-    }
-
-    fn count_corrupt(&self, inner: &mut Inner) {
-        inner.stats.corrupt_skipped += 1;
-        if let Some(m) = &self.metrics {
-            m.corrupt_skipped.inc();
-        }
-    }
-
     /// `(fingerprint, bytes)` of every data file on disk.
     fn data_files(&self) -> Vec<(u64, u64)> {
         let Ok(entries) = fs::read_dir(&self.dir) else { return Vec::new() };
@@ -576,7 +502,7 @@ impl ResultStore {
                 // A damaged record, or an index entry pointing at another
                 // record (the index lied). Drop it; the cell recomputes.
                 shard.offsets.remove(key);
-                self.count_corrupt(inner);
+                inner.stats.corrupt_skipped += 1;
                 None
             }
         }
@@ -627,7 +553,7 @@ impl ResultStore {
             // A foreign or version-mismatched data file is never served;
             // the first publish rotates it aside.
             let _ = fs::remove_file(&index_path);
-            self.count_corrupt(inner);
+            inner.stats.corrupt_skipped += 1;
             inner.shards.insert(fp, Shard::default());
             return;
         };
@@ -642,7 +568,7 @@ impl ResultStore {
                     entries.push(index_entry(&key, true, rec.offset, rec.len));
                     *shard.failures.entry(key).or_default() += 1;
                 }
-                Err(_) => self.count_corrupt(inner),
+                Err(_) => inner.stats.corrupt_skipped += 1,
             }
         }
         // The index is disposable, so failing to repair it only costs
@@ -697,9 +623,6 @@ impl ResultStore {
         shard.offsets.insert(key.clone(), range);
         shard.decoded.insert(key.clone(), result.clone());
         inner.stats.published += 1;
-        if let Some(m) = &self.metrics {
-            m.published.inc();
-        }
         self.evict_to_budget(inner, fp);
         Ok(())
     }
@@ -753,10 +676,6 @@ impl ResultStore {
                 inner.touched.remove(&fp);
                 inner.stats.evicted_files += 1;
                 inner.stats.evicted_bytes += bytes;
-                if let Some(m) = &self.metrics {
-                    m.evicted_files.inc();
-                    m.evicted_bytes.add(bytes);
-                }
                 total = total.saturating_sub(bytes);
             }
             // Compact the LRU file to the surviving fingerprints.
@@ -765,9 +684,6 @@ impl ResultStore {
             let entries: Vec<String> =
                 survivors.into_iter().map(|(seq, fp)| lru_entry(fp, seq)).collect();
             inner.lru = SealedLog::create(&self.lru_path(), &lru_header(), &entries).ok();
-        }
-        if let Some(m) = &self.metrics {
-            m.resident_bytes.set(total);
         }
     }
 }

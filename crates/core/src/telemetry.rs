@@ -15,10 +15,9 @@
 use cmpsim_harness::telemetry::{self, FlightRecorder, Record, SeriesBuffer};
 use std::path::PathBuf;
 
-/// Default flight-recorder capacity (`CMPSIM_TRACE_RING` overrides).
+/// Default flight-recorder capacity.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-/// Default cycles between series samples (`CMPSIM_TRACE_SAMPLE`
-/// overrides).
+/// Default cycles between series samples.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 50_000;
 /// Events a [`crate::SimError::Livelock`] carries from the recorder.
 pub const LIVELOCK_EVENT_WINDOW: usize = 32;
@@ -213,23 +212,12 @@ impl Default for TraceOptions {
 }
 
 impl TraceOptions {
-    /// `Some(options)` when `CMPSIM_TRACE` enables tracing, applying the
-    /// `CMPSIM_TRACE_RING` / `CMPSIM_TRACE_SAMPLE` overrides; `None`
-    /// otherwise. The enable bit is cached process-wide
+    /// `Some(default options)` when `CMPSIM_TRACE` enables tracing,
+    /// `None` otherwise. The enable bit is cached process-wide
     /// ([`telemetry::trace_enabled`]), so the per-run cost of the
     /// disabled path is this one `None`.
     pub fn from_env() -> Option<TraceOptions> {
-        if !telemetry::trace_enabled() {
-            return None;
-        }
-        let mut o = TraceOptions::default();
-        if let Some(cap) = env_u64("CMPSIM_TRACE_RING") {
-            o.ring_capacity = cap.clamp(16, 1 << 24) as usize;
-        }
-        if let Some(p) = env_u64("CMPSIM_TRACE_SAMPLE") {
-            o.sample_period = p.max(1);
-        }
-        Some(o)
+        telemetry::trace_enabled().then(TraceOptions::default)
     }
 
     /// Returns a copy that keeps artifacts in memory only.
@@ -237,10 +225,6 @@ impl TraceOptions {
         self.out_dir = None;
         self
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Live trace state owned by a running `System`. Boxed behind an

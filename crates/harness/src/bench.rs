@@ -23,6 +23,8 @@
 //! }
 //! ```
 
+use crate::env_parse;
+use crate::telemetry::json_escape;
 use std::fs;
 use std::hint::black_box;
 use std::io;
@@ -78,8 +80,8 @@ impl Runner {
     pub fn new(suite: &str, warmup: u32, iters: u32) -> Self {
         Runner {
             suite: suite.to_string(),
-            warmup: env_u32("CMPSIM_BENCH_WARMUP").unwrap_or(warmup),
-            iters: env_u32("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1),
+            warmup: env_parse("CMPSIM_BENCH_WARMUP").unwrap_or(warmup),
+            iters: env_parse("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1),
             results: Vec::new(),
             metrics: Vec::new(),
         }
@@ -102,8 +104,8 @@ impl Runner {
         iters: u32,
         mut f: impl FnMut() -> R,
     ) -> &BenchResult {
-        let warmup = env_u32("CMPSIM_BENCH_WARMUP").unwrap_or(warmup);
-        let iters = env_u32("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1);
+        let warmup = env_parse("CMPSIM_BENCH_WARMUP").unwrap_or(warmup);
+        let iters = env_parse("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1);
         for _ in 0..warmup {
             black_box(f());
         }
@@ -135,7 +137,7 @@ impl Runner {
     /// Renders the suite as JSON.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str(&format!("{{\n  \"suite\": {},\n  \"results\": [", json_str(&self.suite)));
+        s.push_str(&format!("{{\n  \"suite\": {},\n  \"results\": [", json_escape(&self.suite)));
         for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -143,7 +145,7 @@ impl Runner {
             s.push_str(&format!(
                 "\n    {{\"name\": {}, \"iters\": {}, \"median_ns\": {}, \
                  \"p10_ns\": {}, \"p90_ns\": {}, \"mean_ns\": {}}}",
-                json_str(&r.name),
+                json_escape(&r.name),
                 r.iters,
                 r.median_ns,
                 r.p10_ns,
@@ -156,7 +158,7 @@ impl Runner {
             if i > 0 {
                 s.push_str(", ");
             }
-            s.push_str(&format!("{}: {}", json_str(k), json_f64(*v)));
+            s.push_str(&format!("{}: {}", json_escape(k), json_f64(*v)));
         }
         s.push_str("}\n}\n");
         s
@@ -169,56 +171,13 @@ impl Runner {
     ///
     /// Propagates filesystem errors from creating the directory or file.
     pub fn write_json(&self) -> io::Result<PathBuf> {
-        let dir = bench_dir();
+        let dir = crate::target_dir("CMPSIM_BENCH_DIR", "bench");
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{}.json", self.suite));
         fs::write(&path, self.to_json())?;
         println!("bench artifact: {}", path.display());
         Ok(path)
     }
-}
-
-/// Resolves the artifact directory: `CMPSIM_BENCH_DIR`, else
-/// `$CARGO_TARGET_DIR/bench`, else the nearest enclosing `target/`
-/// directory (benches run with the crate, not the workspace, as cwd),
-/// else `./target/bench`.
-fn bench_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_BENCH_DIR") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("bench");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("bench");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/bench");
-        }
-    }
-}
-
-fn env_u32(key: &str) -> Option<u32> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_f64(v: f64) -> String {

@@ -34,9 +34,9 @@
 //!   of it feeds back into simulation results.
 //! - [`metrics`] — service-layer metrics: atomic counters/gauges,
 //!   log-bucketed latency histograms with mergeable snapshots and
-//!   deterministic quantiles, a named registry, and flat-JSON /
-//!   Prometheus export (`CMPSIM_METRICS=0` disarms the recording
-//!   sites). Observe-only, like [`telemetry`].
+//!   deterministic quantiles, a named registry, and a flat-JSON export
+//!   (the serve daemon's `{"metrics":1}` reply). Observe-only, like
+//!   [`telemetry`].
 //! - [`chaos`] — deterministic fault-injection planning (`CMPSIM_CHAOS`):
 //!   a seeded [`chaos::FaultPlan`] whose per-site decisions are stateless
 //!   hashes of `(seed, site, cycle, key)`, so armed runs stay
@@ -46,6 +46,13 @@
 //! replay exactly, and the pool never changes *what* is computed, only
 //! *when* — parallel users (e.g. `cmpsim_core::experiment::run_grid`)
 //! stay bit-identical at every thread count.
+//!
+//! Two helpers are shared by every crate that reads knobs or writes
+//! artifacts: [`env_parse`] (one environment override, garbage falls
+//! back to the caller's default) and [`target_dir`] (where an artifact
+//! directory lives).
+
+use std::path::PathBuf;
 
 pub mod bench;
 pub mod chaos;
@@ -63,3 +70,32 @@ pub use chaos::{FaultPlan, FaultSite};
 pub use gen::Gen;
 pub use rng::Rng;
 pub use supervise::{run_supervised, JobOutcome, Supervisor};
+
+/// The environment variable `key` parsed as a `T`; `None` when it is
+/// unset or does not parse, so callers fall back to their default.
+pub fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
+    std::env::var(key).ok()?.parse().ok()
+}
+
+/// Resolves an artifact directory: `$env_var`, else
+/// `$CARGO_TARGET_DIR/<leaf>`, else `<leaf>` under the nearest enclosing
+/// `target/` directory (benches run with the crate, not the workspace,
+/// as cwd), else `./target/<leaf>`.
+pub fn target_dir(env_var: &str, leaf: &str) -> PathBuf {
+    if let Ok(d) = std::env::var(env_var) {
+        return PathBuf::from(d);
+    }
+    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
+        return PathBuf::from(d).join(leaf);
+    }
+    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        let cand = cur.join("target");
+        if cand.is_dir() {
+            return cand.join(leaf);
+        }
+        if !cur.pop() {
+            return PathBuf::from("target").join(leaf);
+        }
+    }
+}

@@ -1,16 +1,15 @@
 //! Service-layer metrics: atomic counters, gauges, and log-bucketed
 //! latency histograms behind a named [`Registry`], with mergeable
-//! snapshots, deterministic quantile reporting, and flat-JSON /
-//! Prometheus-text export.
+//! snapshots, deterministic quantile reporting, and flat-JSON export.
 //!
 //! Like [`telemetry`](crate::telemetry), everything here is *measurement
 //! plumbing*: recording is relaxed atomics that feed nothing back into
 //! what a simulation computes, so armed metrics leave every grid digest
 //! and golden bit-identical (the `metrics_gate` example and `ci.sh` pin
-//! this). The intended users are the service layer — the result store,
-//! the grid drivers, and the `serve` daemon — which share the process
-//! [`global`] registry so one `{"metrics":1}` query sees the whole
-//! serving path.
+//! this). The intended users are the grid driver and the `serve` daemon,
+//! which share the process [`global`] registry so one `{"metrics":1}`
+//! query sees the whole serving path; the result store keeps its own
+//! `StoreStats` and copies them into `store_*` gauges on demand.
 //!
 //! Design points:
 //!
@@ -30,25 +29,10 @@
 //! - **Snapshots merge.** [`HistogramSnapshot::merge`] is bucket-wise
 //!   addition; merging per-worker or per-process snapshots equals one
 //!   histogram that saw every value.
-//!
-//! `CMPSIM_METRICS=0` disarms recording at the instrumentation sites
-//! (they check [`enabled`] once and skip the atomics); the default is
-//! armed, because recording is inert and the serve daemon depends on it.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-// ---------------------------------------------------------------- gating
-
-/// Whether metrics recording is armed: `CMPSIM_METRICS=0` disarms it,
-/// anything else (including unset) leaves it on. Read once per process.
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("CMPSIM_METRICS").map(|v| v != "0").unwrap_or(true))
-}
 
 // -------------------------------------------------------------- counters
 
@@ -75,8 +59,8 @@ impl Counter {
     }
 }
 
-/// Instantaneous level (bytes resident, queue depth, ...). Unsigned by
-/// design — every service-layer level here is a size or a count.
+/// Instantaneous level (bytes resident, a copied-in count, ...). Unsigned
+/// by design — every service-layer level here is a size or a count.
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(Arc<AtomicU64>);
 
@@ -85,21 +69,6 @@ impl Gauge {
     #[inline]
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the level by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lowers the level by `n`, saturating at zero (a racy double-release
-    /// must not wrap to 2^64).
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        let _ = self.0.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(n))
-        });
     }
 
     /// Current level.
@@ -293,19 +262,6 @@ impl HistogramSnapshot {
         }
     }
 
-    /// `(upper_bound, cumulative_count)` per non-empty bucket, for
-    /// cumulative (Prometheus-style) export.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                cum += c;
-                out.push((bucket_upper(i), cum));
-            }
-        }
-        out
-    }
 }
 
 // -------------------------------------------------------------- registry
@@ -396,8 +352,7 @@ pub fn global() -> &'static Registry {
 const QUANTILES: [(&str, f64); 3] = [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)];
 
 /// Frozen copy of a whole [`Registry`], renderable as one flat JSON
-/// object (the store framing: string and `u64` values only) or
-/// as Prometheus text exposition.
+/// object (the store framing: string and `u64` values only).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter, name-sorted.
@@ -427,8 +382,8 @@ impl MetricsSnapshot {
     /// Renders the snapshot as one flat JSON object: counters and gauges
     /// as `"name":value`, histograms as `name_count`/`name_sum`/
     /// `name_min`/`name_max`/`name_p50`/`name_p95`/`name_p99`. The
-    /// object opens with `"metrics":1` so consumers (the serve protocol,
-    /// the ops dashboard) can recognize it, and parses with
+    /// object opens with `"metrics":1` so consumers (the serve protocol)
+    /// can recognize it, and parses with
     /// `cmpsim_core::flatjson::parse_flat`.
     pub fn to_flat_json(&self) -> String {
         let mut s = String::from("{\"metrics\":1");
@@ -450,55 +405,6 @@ impl MetricsSnapshot {
         s.push('}');
         s
     }
-
-    /// Renders the snapshot in the Prometheus text exposition format,
-    /// metric names prefixed `cmpsim_`. Histograms export cumulative
-    /// non-empty buckets plus `+Inf`, `_sum` and `_count`.
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::new();
-        for (name, v) in &self.counters {
-            s.push_str(&format!("# TYPE cmpsim_{name} counter\ncmpsim_{name} {v}\n"));
-        }
-        for (name, v) in &self.gauges {
-            s.push_str(&format!("# TYPE cmpsim_{name} gauge\ncmpsim_{name} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            s.push_str(&format!("# TYPE cmpsim_{name} histogram\n"));
-            for (le, cum) in h.cumulative_buckets() {
-                s.push_str(&format!("cmpsim_{name}_bucket{{le=\"{le}\"}} {cum}\n"));
-            }
-            s.push_str(&format!(
-                "cmpsim_{name}_bucket{{le=\"+Inf\"}} {c}\ncmpsim_{name}_sum {sum}\n\
-                 cmpsim_{name}_count {c}\n",
-                c = h.count,
-                sum = h.sum
-            ));
-        }
-        s
-    }
-}
-
-// ----------------------------------------------------------- atomic file
-
-/// Writes `contents` to `path` through a sibling tempfile and an atomic
-/// rename — the same discipline as store headers — so a reader
-/// (or a killed writer) can never observe a torn file. Parent
-/// directories are created as needed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from the write or the rename.
-pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
@@ -513,12 +419,8 @@ mod tests {
         a.inc();
         b.add(4);
         assert_eq!(r.counter("hits").get(), 5, "same name, same atomic");
-        let g = r.gauge("depth");
-        g.set(7);
-        g.sub(9);
-        assert_eq!(g.get(), 0, "gauge sub saturates at zero");
-        g.add(3);
-        assert_eq!(r.gauge("depth").get(), 3);
+        r.gauge("resident").set(7);
+        assert_eq!(r.gauge("resident").get(), 7, "same name, same gauge");
     }
 
     #[test]
@@ -620,32 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_export_shape() {
-        let r = Registry::new();
-        r.counter("serve_requests").add(2);
-        r.gauge("grid_queue_depth").set(5);
-        let h = r.histogram("lat");
-        h.record(7);
-        h.record(7);
-        h.record(40);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("# TYPE cmpsim_serve_requests counter\ncmpsim_serve_requests 2\n"));
-        assert!(text.contains("# TYPE cmpsim_grid_queue_depth gauge\ncmpsim_grid_queue_depth 5\n"));
-        assert!(text.contains("# TYPE cmpsim_lat histogram\n"));
-        assert!(text.contains("cmpsim_lat_bucket{le=\"7\"} 2\n"), "{text}");
-        assert!(text.contains("cmpsim_lat_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("cmpsim_lat_sum 54\n"));
-        assert!(text.contains("cmpsim_lat_count 3\n"));
-        // Cumulative bucket counts are non-decreasing.
-        let mut last = 0u64;
-        for line in text.lines().filter(|l| l.contains("_bucket{le=") && !l.contains("+Inf")) {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last, "{text}");
-            last = v;
-        }
-    }
-
-    #[test]
     fn registry_reset_keeps_handles_live() {
         let r = Registry::new();
         let c = r.counter("x");
@@ -657,18 +533,6 @@ mod tests {
         assert_eq!(h.snapshot().count, 0);
         c.inc();
         assert_eq!(r.counter("x").get(), 1, "old handle still feeds the registry");
-    }
-
-    #[test]
-    fn write_atomic_replaces_whole_file() {
-        let dir = std::env::temp_dir().join(format!("cmpsim-metrics-{}", std::process::id()));
-        let path = dir.join("snap.json");
-        write_atomic(&path, "{\"a\":1}").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":1}");
-        write_atomic(&path, "{\"a\":2}").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"a\":2}");
-        assert!(!dir.join("snap.json.tmp").exists(), "tempfile renamed away");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

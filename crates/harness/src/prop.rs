@@ -16,6 +16,7 @@
 //! [`prop_assert!`](crate::prop_assert) family) or by panicking
 //! (`assert!`, index out of bounds, ...); both shrink identically.
 
+use crate::env_parse;
 use crate::gen::Gen;
 use crate::rng::{hash_str, Rng};
 use std::fmt::Debug;
@@ -42,18 +43,14 @@ impl Config {
     /// Default config with `CMPSIM_PT_CASES` / `CMPSIM_PT_SEED` applied.
     pub fn from_env() -> Self {
         let mut cfg = Config::default();
-        if let Some(cases) = env_u64("CMPSIM_PT_CASES") {
+        if let Some(cases) = env_parse::<u64>("CMPSIM_PT_CASES") {
             cfg.cases = cases.clamp(1, 1_000_000) as u32;
         }
-        if let Some(seed) = env_u64("CMPSIM_PT_SEED") {
+        if let Some(seed) = env_parse("CMPSIM_PT_SEED") {
             cfg.seed = seed;
         }
         cfg
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Outcome of one property invocation.

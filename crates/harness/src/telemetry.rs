@@ -20,7 +20,6 @@
 //!   off; unset, it turns on only when stderr is a terminal.
 
 use std::io::IsTerminal;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -39,26 +38,10 @@ pub fn trace_enabled() -> bool {
     })
 }
 
-/// Resolves the telemetry artifact directory: `CMPSIM_TELEMETRY_DIR`,
-/// else `$CARGO_TARGET_DIR/telemetry`, else the nearest enclosing
-/// `target/` directory, else `./target/telemetry`.
-pub fn telemetry_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_TELEMETRY_DIR") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("telemetry");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("telemetry");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/telemetry");
-        }
-    }
+/// The telemetry artifact directory: `CMPSIM_TELEMETRY_DIR`, else
+/// `telemetry` under the build's target directory ([`crate::target_dir`]).
+pub fn telemetry_dir() -> std::path::PathBuf {
+    crate::target_dir("CMPSIM_TELEMETRY_DIR", "telemetry")
 }
 
 /// Monotonic sequence for artifact file names, so concurrent grid cells

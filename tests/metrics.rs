@@ -1,7 +1,7 @@
-//! Integration tests for the service-metrics layer: the grid drivers'
-//! registry accounting agrees with the store's own stats and never
-//! perturbs results, and the atomic-write discipline for metric
-//! artifacts leaves no torn or temporary files.
+//! Integration tests for the service-metrics layer: the grid driver's
+//! registry accounting is exact and never perturbs results, and the
+//! store's one count of its events (`StoreStats`) is what reaches the
+//! registry.
 
 use cmpsim::core::store::ResultStore;
 use cmpsim::{run_grid, RunOptions, SimLength, SystemConfig, Variant};
@@ -19,10 +19,6 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 /// concurrently-running tests would race.
 #[test]
 fn grid_metrics_account_and_stay_inert() {
-    if !metrics::enabled() {
-        eprintln!("skipping: CMPSIM_METRICS=0");
-        return;
-    }
     let dir = temp_dir("grid");
     let base = SystemConfig::paper_default(2).with_seed(7);
     let len = SimLength { warmup: 1_000, measure: 4_000 };
@@ -50,7 +46,8 @@ fn grid_metrics_account_and_stay_inert() {
     };
     assert_eq!(d(&after_cold, &before, "grid_cells_computed"), cells);
     assert_eq!(d(&after_cold, &before, "grid_cells_cached"), 0);
-    assert_eq!(d(&after_cold, &before, "store_published"), cells);
+    let cold_stats = cold_store.stats();
+    assert_eq!((cold_stats.misses, cold_stats.published), (cells, cells));
     assert_eq!(
         after_cold.histogram("grid_cell_compute_nanos").map_or(0, |h| h.count)
             - before.histogram("grid_cell_compute_nanos").map_or(0, |h| h.count),
@@ -72,40 +69,23 @@ fn grid_metrics_account_and_stay_inert() {
         assert_eq!(c.result, w.result, "metrics recording must not perturb results");
     }
 
-    // The registry agrees with the store's own counters for this handle.
+    // The store counts each event once, in its own stats; the export
+    // copies exactly those into the registry.
     let stats = warm_store.stats();
-    assert_eq!(stats.misses, 0);
-    assert_eq!(stats.hits, cells);
+    assert_eq!((stats.hits, stats.misses, stats.published), (cells, 0, 0));
     assert!(warm_store.resident_bytes() > 0);
-    assert_eq!(
-        after_warm.gauge("store_resident_bytes"),
-        Some(warm_store.resident_bytes()),
-        "resident_bytes() refreshes the occupancy gauge"
-    );
+    warm_store.export_metrics();
+    let exported = metrics::global().snapshot();
+    for (key, want) in [
+        ("store_hits", stats.hits),
+        ("store_misses", stats.misses),
+        ("store_published", stats.published),
+        ("store_corrupt_skipped", stats.corrupt_skipped),
+        ("store_resident_bytes", warm_store.resident_bytes()),
+    ] {
+        assert_eq!(exported.gauge(key), Some(want), "{key}");
+    }
 
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `metrics::write_atomic` follows the store-header discipline: the
-/// final file is complete, and no `.tmp` sibling survives.
-#[test]
-fn write_atomic_leaves_no_torn_artifacts() {
-    let dir = temp_dir("atomic");
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join("metrics.prom");
-    let body = "cmpsim_store_hits 42\ncmpsim_store_misses 7\n";
-    metrics::write_atomic(&path, body).expect("atomic write");
-    assert_eq!(std::fs::read_to_string(&path).expect("read back"), body);
-    // Overwrite goes through the same tempfile + rename.
-    metrics::write_atomic(&path, "cmpsim_store_hits 43\n").expect("atomic rewrite");
-    assert_eq!(std::fs::read_to_string(&path).expect("read back"), "cmpsim_store_hits 43\n");
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .expect("list dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.ends_with(".tmp"))
-        .collect();
-    assert!(leftovers.is_empty(), "tempfile survived: {leftovers:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
