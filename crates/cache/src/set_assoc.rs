@@ -38,15 +38,6 @@ impl SetAssocConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line<M> {
-    addr: BlockAddr,
-    valid: bool,
-    prefetch: bool,
-    lru: u64,
-    meta: M,
-}
-
 /// A line evicted by [`SetAssocCache::fill`], handed back to the
 /// controller for writebacks / coherence recalls / adaptive-prefetch
 /// accounting.
@@ -76,11 +67,16 @@ pub struct EvictedLine<M> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     cfg: SetAssocConfig,
-    /// Every line in one flat array, set-major: set `s` is
-    /// `lines[s * ways..(s + 1) * ways]`. A lookup is one index
-    /// computation and a scan of `ways` adjacent lines, with no per-set
-    /// heap indirection.
-    lines: Vec<Line<M>>,
+    /// Line storage, structure-of-arrays and set-major: way `w` of set
+    /// `s` is index `s * ways + w` of every per-line array. A lookup is
+    /// one index computation and a scan of `ways` adjacent addresses and
+    /// valid bits; the LRU stamp, prefetch bit and metadata are touched
+    /// only for the matching or chosen way.
+    addrs: Vec<u64>,
+    valid: Vec<bool>,
+    prefetch: Vec<bool>,
+    lru: Vec<u64>,
+    meta: Vec<M>,
     clock: u64,
     stats: CacheStats,
 }
@@ -88,16 +84,17 @@ pub struct SetAssocCache<M> {
 impl<M: Clone + Default> SetAssocCache<M> {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: SetAssocConfig) -> Self {
-        let lines = (0..cfg.sets * cfg.ways)
-            .map(|_| Line {
-                addr: BlockAddr(0),
-                valid: false,
-                prefetch: false,
-                lru: 0,
-                meta: M::default(),
-            })
-            .collect();
-        SetAssocCache { cfg, lines, clock: 0, stats: CacheStats::default() }
+        let lines = cfg.sets * cfg.ways;
+        SetAssocCache {
+            cfg,
+            addrs: vec![0; lines],
+            valid: vec![false; lines],
+            prefetch: vec![false; lines],
+            lru: vec![0; lines],
+            meta: vec![M::default(); lines],
+            clock: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache geometry.
@@ -115,11 +112,17 @@ impl<M: Clone + Default> SetAssocCache<M> {
         self.stats = CacheStats::default();
     }
 
-    /// Indices of `addr`'s set in `lines`.
+    /// Indices of `addr`'s set in the per-line arrays.
     #[inline]
     fn set_range(&self, addr: BlockAddr) -> std::ops::Range<usize> {
         let base = addr.set_index(self.cfg.sets) * self.cfg.ways;
         base..base + self.cfg.ways
+    }
+
+    /// Index of the valid line holding `addr`, if any.
+    #[inline]
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
+        self.set_range(addr).find(|&i| self.valid[i] && self.addrs[i] == addr.0)
     }
 
     /// Looks up `addr`, updating LRU on hit. Returns the line's metadata.
@@ -130,47 +133,34 @@ impl<M: Clone + Default> SetAssocCache<M> {
     /// as a side effect, per §3).
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<(&mut M, bool)> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_range(addr);
-        let line = self.lines[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
-        line.lru = clock;
-        let first_touch = line.prefetch;
-        line.prefetch = false;
+        let i = self.find(addr)?;
+        self.lru[i] = self.clock;
+        let first_touch = std::mem::replace(&mut self.prefetch[i], false);
         self.stats.hits += 1;
         if first_touch {
             self.stats.prefetch_first_touches += 1;
         }
-        Some((&mut line.meta, first_touch))
+        Some((&mut self.meta[i], first_touch))
     }
 
     /// Peeks at `addr` without updating LRU or the prefetch bit.
     pub fn peek(&self, addr: BlockAddr) -> Option<&M> {
-        self.lines[self.set_range(addr)]
-            .iter()
-            .find(|l| l.valid && l.addr == addr)
-            .map(|l| &l.meta)
+        self.find(addr).map(|i| &self.meta[i])
     }
 
     /// Mutable peek without LRU/prefetch-bit side effects.
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut M> {
-        let set = self.set_range(addr);
-        self.lines[set]
-            .iter_mut()
-            .find(|l| l.valid && l.addr == addr)
-            .map(|l| &mut l.meta)
+        self.find(addr).map(|i| &mut self.meta[i])
     }
 
     /// Whether `addr` is present (valid) without any side effects.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.peek(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Whether the line at `addr` still has its prefetch bit set.
     pub fn prefetch_bit(&self, addr: BlockAddr) -> Option<bool> {
-        self.lines[self.set_range(addr)]
-            .iter()
-            .find(|l| l.valid && l.addr == addr)
-            .map(|l| l.prefetch)
+        self.find(addr).map(|i| self.prefetch[i])
     }
 
     /// Inserts `addr`, evicting the LRU line if the set is full.
@@ -181,15 +171,13 @@ impl<M: Clone + Default> SetAssocCache<M> {
     pub fn fill(&mut self, addr: BlockAddr, prefetched: bool, meta: M) -> Option<EvictedLine<M>> {
         self.clock += 1;
         let clock = self.clock;
-        let range = self.set_range(addr);
-        let set = &mut self.lines[range];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.addr == addr) {
-            line.lru = clock;
-            line.meta = meta;
+        if let Some(i) = self.find(addr) {
+            self.lru[i] = clock;
+            self.meta[i] = meta;
             // A demand fill of a prefetched-but-in-flight line keeps the
             // stronger (demand) classification.
-            line.prefetch &= prefetched;
+            self.prefetch[i] &= prefetched;
             return None;
         }
 
@@ -198,51 +186,52 @@ impl<M: Clone + Default> SetAssocCache<M> {
             self.stats.prefetch_fills += 1;
         }
 
-        let new_line =
-            Line { addr, valid: true, prefetch: prefetched, lru: clock, meta };
-
-        // The first invalid way, in way order, takes the line.
-        if let Some(slot) = set.iter_mut().find(|l| !l.valid) {
-            *slot = new_line;
-            return None;
-        }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| i)
-            .expect("full set has a victim");
-        let victim = std::mem::replace(&mut set[victim_idx], new_line);
-        self.stats.evictions += 1;
-        if victim.prefetch {
-            self.stats.unused_prefetch_evictions += 1;
-        }
-        Some(EvictedLine {
-            addr: victim.addr,
-            was_unused_prefetch: victim.prefetch,
-            meta: victim.meta,
-        })
+        // The first invalid way, in way order, takes the line; a full
+        // set gives up its (first) least recently used way.
+        let range = self.set_range(addr);
+        let (slot, evicted) = match range.clone().find(|&i| !self.valid[i]) {
+            Some(i) => (i, None),
+            None => {
+                let i = range.min_by_key(|&i| self.lru[i]).expect("full set has a victim");
+                let was_unused_prefetch = self.prefetch[i];
+                self.stats.evictions += 1;
+                if was_unused_prefetch {
+                    self.stats.unused_prefetch_evictions += 1;
+                }
+                let victim = EvictedLine {
+                    addr: BlockAddr(self.addrs[i]),
+                    was_unused_prefetch,
+                    meta: std::mem::take(&mut self.meta[i]),
+                };
+                (i, Some(victim))
+            }
+        };
+        self.addrs[slot] = addr.0;
+        self.valid[slot] = true;
+        self.prefetch[slot] = prefetched;
+        self.lru[slot] = clock;
+        self.meta[slot] = meta;
+        evicted
     }
 
     /// Removes `addr` (coherence invalidation / inclusion recall),
     /// returning its metadata.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<M> {
-        let set = self.set_range(addr);
-        let line = self.lines[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
-        line.valid = false;
+        let i = self.find(addr)?;
+        self.valid[i] = false;
         self.stats.invalidations += 1;
-        Some(line.meta.clone())
+        Some(std::mem::take(&mut self.meta[i]))
     }
 
     /// Number of valid lines currently resident.
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.valid.iter().filter(|&&v| v).count()
     }
 
     /// Calls `f` for every valid line (for assertions and debugging).
     pub fn for_each_valid(&self, mut f: impl FnMut(BlockAddr, &M)) {
-        for l in self.lines.iter().filter(|l| l.valid) {
-            f(l.addr, &l.meta);
+        for i in (0..self.valid.len()).filter(|&i| self.valid[i]) {
+            f(BlockAddr(self.addrs[i]), &self.meta[i]);
         }
     }
 }

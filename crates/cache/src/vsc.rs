@@ -78,19 +78,14 @@ impl VscConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Tag<M> {
-    addr: BlockAddr,
-    /// Tag allocated: `addr` is meaningful (line present *or* victim tag).
-    allocated: bool,
-    /// Line data resident (`segments` valid, `meta` live).
-    has_data: bool,
-    /// Storage size in segments (0 when dataless).
-    segments: u8,
-    prefetch: bool,
-    lru: u64,
-    meta: M,
-}
+// Tag flag bits: each tag's byte in `VscCache::flags`.
+
+/// Tag allocated: its address is meaningful (line present *or* victim tag).
+const ALLOCATED: u8 = 1;
+/// Line data resident (the tag's segment count is valid, its meta live).
+const DATA: u8 = 2;
+/// Prefetch bit: brought in by a prefetch and not yet demand-touched.
+const PREFETCH: u8 = 4;
 
 /// Outcome of [`VscCache::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +131,15 @@ pub struct VscEvicted<M> {
 
 /// The decoupled variable-segment cache structure.
 ///
+/// Tags live in flat structure-of-arrays storage: tag `w` of set `s` is
+/// index `s * tags_per_set + w` of every per-tag array. A set scan reads
+/// only the addresses and the flag bytes (one set's 8 addresses are one
+/// 64-byte host line); the LRU stamps, sizes and caller metadata are
+/// touched only for the ways a scan selects. There is no per-set heap
+/// allocation: a 4 MB cache is five allocations, the largest 1 MB. The
+/// four numeric arrays are allocated zeroed, so the allocator may hand
+/// out fresh pages that stay untouched until a cell uses their sets.
+///
 /// # Examples
 ///
 /// ```
@@ -152,11 +156,16 @@ pub struct VscEvicted<M> {
 #[derive(Debug, Clone)]
 pub struct VscCache<M> {
     cfg: VscConfig,
-    /// Per-set tag vectors rather than one flat array: a flat 4 MB
-    /// cache's tags are a single multi-megabyte block, which the
-    /// allocator keeps resident after a cell drops it, raising peak RSS
-    /// of multi-cell runs for no speed gain.
-    sets: Vec<Vec<Tag<M>>>,
+    /// Block address of each tag (meaningful only when allocated).
+    addrs: Vec<u64>,
+    /// [`ALLOCATED`], [`DATA`] and [`PREFETCH`] bits of each tag.
+    flags: Vec<u8>,
+    /// Storage size in segments of each tag (0 when dataless).
+    segs: Vec<u8>,
+    /// LRU stamp of each tag.
+    lru: Vec<u64>,
+    /// Caller metadata of each tag (live only while it holds data).
+    meta: Vec<M>,
     /// Lines resident with data, kept current by every fill, eviction and
     /// invalidation so occupancy queries are O(1).
     resident: usize,
@@ -182,24 +191,14 @@ impl<M: Clone + Default> VscCache<M> {
             cfg.segments_per_set >= u32::from(cfg.line_segments),
             "a set must hold at least one uncompressed line"
         );
-        let sets = (0..cfg.sets)
-            .map(|_| {
-                (0..cfg.tags_per_set)
-                    .map(|_| Tag {
-                        addr: BlockAddr(0),
-                        allocated: false,
-                        has_data: false,
-                        segments: 0,
-                        prefetch: false,
-                        lru: 0,
-                        meta: M::default(),
-                    })
-                    .collect()
-            })
-            .collect();
+        let tags = cfg.sets * cfg.tags_per_set;
         VscCache {
             cfg,
-            sets,
+            addrs: vec![0; tags],
+            flags: vec![0; tags],
+            segs: vec![0; tags],
+            lru: vec![0; tags],
+            meta: vec![M::default(); tags],
             resident: 0,
             used_segments: 0,
             evicted: Vec::new(),
@@ -223,36 +222,45 @@ impl<M: Clone + Default> VscCache<M> {
         self.stats = CacheStats::default();
     }
 
-    fn set_of(&self, addr: BlockAddr) -> usize {
-        addr.set_index(self.cfg.sets)
+    /// Index range of `addr`'s set in the per-tag arrays.
+    #[inline]
+    fn set_range(&self, addr: BlockAddr) -> std::ops::Range<usize> {
+        let base = addr.set_index(self.cfg.sets) * self.cfg.tags_per_set;
+        base..base + self.cfg.tags_per_set
     }
 
-    fn used_segments(set: &[Tag<M>]) -> u32 {
-        set.iter().filter(|t| t.has_data).map(|t| u32::from(t.segments)).sum()
+    /// Index of the first tag in `addr`'s set whose flags include any of
+    /// `need` and whose address is `addr`.
+    #[inline]
+    fn find(&self, addr: BlockAddr, need: u8) -> Option<usize> {
+        self.set_range(addr).find(|&i| self.flags[i] & need != 0 && self.addrs[i] == addr.0)
+    }
+
+    /// Segments charged by the data-holding tags in `range`.
+    fn used_segments(&self, range: std::ops::Range<usize>) -> u32 {
+        range.filter(|&i| self.flags[i] & DATA != 0).map(|i| u32::from(self.segs[i])).sum()
     }
 
     /// Looks up `addr`, updating LRU and clearing the prefetch bit on a
     /// data hit.
     pub fn lookup(&mut self, addr: BlockAddr) -> VscLookup {
         self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-        let Some(pos) = set.iter().position(|t| t.allocated && t.addr == addr) else {
+        let Some(pos) = self.find(addr, ALLOCATED) else {
             return VscLookup::Miss;
         };
-        if !set[pos].has_data {
+        if self.flags[pos] & DATA == 0 {
             self.stats.victim_tag_hits += 1;
             return VscLookup::VictimTagHit;
         }
-        let my_lru = set[pos].lru;
-        let lru_depth =
-            set.iter().filter(|t| t.has_data && t.lru > my_lru).count();
-        let tag = &mut set[pos];
-        tag.lru = clock;
-        let prefetch_first_touch = tag.prefetch;
-        tag.prefetch = false;
-        let compressed = tag.segments < self.cfg.line_segments;
+        let my_lru = self.lru[pos];
+        let lru_depth = self
+            .set_range(addr)
+            .filter(|&i| self.flags[i] & DATA != 0 && self.lru[i] > my_lru)
+            .count();
+        self.lru[pos] = self.clock;
+        let prefetch_first_touch = self.flags[pos] & PREFETCH != 0;
+        self.flags[pos] &= !PREFETCH;
+        let compressed = self.segs[pos] < self.cfg.line_segments;
         self.stats.hits += 1;
         if prefetch_first_touch {
             self.stats.prefetch_first_touches += 1;
@@ -262,42 +270,58 @@ impl<M: Clone + Default> VscCache<M> {
 
     /// Read-only probe without LRU/prefetch side effects.
     pub fn peek(&self, addr: BlockAddr) -> Option<&M> {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter().find(|t| t.has_data && t.addr == addr).map(|t| &t.meta)
+        self.find(addr, DATA).map(|i| &self.meta[i])
     }
 
     /// Mutable access to a resident line's metadata (no side effects).
     pub fn meta_mut(&mut self, addr: BlockAddr) -> Option<&mut M> {
-        let set_idx = self.set_of(addr);
-        self.sets[set_idx]
-            .iter_mut()
-            .find(|t| t.has_data && t.addr == addr)
-            .map(|t| &mut t.meta)
+        self.find(addr, DATA).map(|i| &mut self.meta[i])
     }
 
     /// Whether the line is resident with data.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.peek(addr).is_some()
+        self.find(addr, DATA).is_some()
     }
 
     /// Stored size in segments of a resident line.
     pub fn segments_of(&self, addr: BlockAddr) -> Option<u8> {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter().find(|t| t.has_data && t.addr == addr).map(|t| t.segments)
+        self.find(addr, DATA).map(|i| self.segs[i])
     }
 
     /// Whether any *data-holding* line in `addr`'s set has its prefetch
     /// bit set (input to the harmful-prefetch rule, §3).
     pub fn any_prefetched_lines_in_set(&self, addr: BlockAddr) -> bool {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter().any(|t| t.has_data && t.prefetch)
+        self.flags[self.set_range(addr)].iter().any(|&f| f & (DATA | PREFETCH) == DATA | PREFETCH)
     }
 
     /// Whether a dataless victim tag matches `addr` (the other half of the
     /// harmful-prefetch rule).
     pub fn victim_tag_matches(&self, addr: BlockAddr) -> bool {
-        let set = &self.sets[self.set_of(addr)];
-        set.iter().any(|t| t.allocated && !t.has_data && t.addr == addr)
+        self.set_range(addr)
+            .any(|i| self.flags[i] & (ALLOCATED | DATA) == ALLOCATED && self.addrs[i] == addr.0)
+    }
+
+    /// Drops the data of tag `i`, leaving a dataless victim tag, and
+    /// returns `(meta, segments, prefetch bit)`.
+    fn drop_data(&mut self, i: usize) -> (M, u8, bool) {
+        let segments = self.segs[i];
+        let prefetch = self.flags[i] & PREFETCH != 0;
+        self.flags[i] &= !(DATA | PREFETCH);
+        self.segs[i] = 0;
+        self.resident -= 1;
+        self.used_segments -= u64::from(segments);
+        (std::mem::take(&mut self.meta[i]), segments, prefetch)
+    }
+
+    /// Evicts the data of tag `i` into the fill's eviction buffer.
+    fn evict(&mut self, i: usize) {
+        let addr = BlockAddr(self.addrs[i]);
+        let (meta, segments, was_unused_prefetch) = self.drop_data(i);
+        self.evicted.push(VscEvicted { addr, segments, was_unused_prefetch, meta });
+        self.stats.evictions += 1;
+        if was_unused_prefetch {
+            self.stats.unused_prefetch_evictions += 1;
+        }
     }
 
     /// Inserts (or resizes) `addr` with `segments` of data, evicting LRU
@@ -322,47 +346,30 @@ impl<M: Clone + Default> VscCache<M> {
         );
         self.clock += 1;
         let clock = self.clock;
-        let cfg = self.cfg;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-        let evicted = &mut self.evicted;
-        evicted.clear();
+        let range = self.set_range(addr);
+        self.evicted.clear();
 
         // Locate or allocate the tag for `addr`.
-        let existing = set.iter().position(|t| t.allocated && t.addr == addr);
-        let had_data = existing.map(|i| set[i].has_data).unwrap_or(false);
+        let existing = self.find(addr, ALLOCATED);
+        let had_data = existing.is_some_and(|i| self.flags[i] & DATA != 0);
 
         // Segments already charged to this address (resize case).
-        let my_current: u32 =
-            existing.filter(|&i| set[i].has_data).map(|i| u32::from(set[i].segments)).unwrap_or(0);
+        let my_current = match existing {
+            Some(i) if had_data => u32::from(self.segs[i]),
+            _ => 0,
+        };
 
         // Evict LRU data lines until the new size fits.
-        let mut set_used = Self::used_segments(set);
-        while set_used - my_current + u32::from(segments) > cfg.segments_per_set {
-            let victim_idx = set
-                .iter()
-                .enumerate()
-                .filter(|(i, t)| t.has_data && Some(*i) != existing)
-                .min_by_key(|(_, t)| t.lru)
-                .map(|(i, _)| i)
+        let mut set_used = self.used_segments(range.clone());
+        while set_used - my_current + u32::from(segments) > self.cfg.segments_per_set {
+            let victim = range
+                .clone()
+                .filter(|&i| self.flags[i] & DATA != 0 && Some(i) != existing)
+                .min_by_key(|&i| self.lru[i])
                 .expect("over-full set must contain an evictable line");
-            let v = &mut set[victim_idx];
-            evicted.push(VscEvicted {
-                addr: v.addr,
-                segments: v.segments,
-                was_unused_prefetch: v.prefetch,
-                meta: std::mem::take(&mut v.meta),
-            });
-            set_used -= u32::from(v.segments);
-            self.resident -= 1;
-            self.used_segments -= u64::from(v.segments);
-            v.has_data = false;
-            v.segments = 0;
-            v.prefetch = false;
-            self.stats.evictions += 1;
+            set_used -= u32::from(self.segs[victim]);
+            self.evict(victim);
         }
-        self.stats.unused_prefetch_evictions +=
-            evicted.iter().filter(|e| e.was_unused_prefetch).count() as u64;
 
         // Choose the tag slot.
         let slot = match existing {
@@ -370,85 +377,53 @@ impl<M: Clone + Default> VscCache<M> {
             None => {
                 // Prefer an unallocated tag, then the LRU dataless tag,
                 // then (all 8 tags holding data) evict the LRU data line.
-                if let Some(i) = set.iter().position(|t| !t.allocated) {
+                if let Some(i) = range.clone().find(|&i| self.flags[i] & ALLOCATED == 0) {
                     i
-                } else if let Some(i) = set
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| !t.has_data)
-                    .min_by_key(|(_, t)| t.lru)
-                    .map(|(i, _)| i)
+                } else if let Some(i) = range
+                    .clone()
+                    .filter(|&i| self.flags[i] & DATA == 0)
+                    .min_by_key(|&i| self.lru[i])
                 {
                     i
                 } else {
-                    let i = set
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, t)| t.lru)
-                        .map(|(i, _)| i)
-                        .expect("set has tags");
-                    let v = &mut set[i];
-                    evicted.push(VscEvicted {
-                        addr: v.addr,
-                        segments: v.segments,
-                        was_unused_prefetch: v.prefetch,
-                        meta: std::mem::take(&mut v.meta),
-                    });
-                    if v.prefetch {
-                        self.stats.unused_prefetch_evictions += 1;
-                    }
-                    self.resident -= 1;
-                    self.used_segments -= u64::from(v.segments);
-                    v.has_data = false;
-                    v.segments = 0;
-                    v.prefetch = false;
-                    self.stats.evictions += 1;
+                    let i = range.clone().min_by_key(|&i| self.lru[i]).expect("set has tags");
+                    self.evict(i);
                     i
                 }
             }
         };
 
-        let tag = &mut set[slot];
         if !had_data {
             self.resident += 1;
         }
         self.used_segments = self.used_segments - u64::from(my_current) + u64::from(segments);
-        tag.addr = addr;
-        tag.allocated = true;
-        tag.has_data = true;
-        tag.segments = segments;
-        tag.lru = clock;
-        tag.meta = meta;
-        if had_data {
-            // Resize/update keeps the stronger (demand) classification.
-            tag.prefetch &= prefetched;
+        self.addrs[slot] = addr.0;
+        self.segs[slot] = segments;
+        self.lru[slot] = clock;
+        self.meta[slot] = meta;
+        // A resize keeps the stronger (demand) classification.
+        let prefetch = if had_data {
+            prefetched && self.flags[slot] & PREFETCH != 0
         } else {
-            tag.prefetch = prefetched;
             self.stats.fills += 1;
             if prefetched {
                 self.stats.prefetch_fills += 1;
             }
-        }
+            prefetched
+        };
+        self.flags[slot] = ALLOCATED | DATA | if prefetch { PREFETCH } else { 0 };
 
-        debug_assert!(Self::used_segments(set) <= cfg.segments_per_set);
+        debug_assert!(self.used_segments(range) <= self.cfg.segments_per_set);
         &self.evicted
     }
 
     /// Removes a resident line (inclusion recall / invalidation), keeping
     /// its address as a victim tag. Returns `(meta, segments)`.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<(M, u8)> {
-        let set_idx = self.set_of(addr);
-        let tag = self.sets[set_idx]
-            .iter_mut()
-            .find(|t| t.has_data && t.addr == addr)?;
-        tag.has_data = false;
-        let segs = tag.segments;
-        tag.segments = 0;
-        tag.prefetch = false;
-        self.resident -= 1;
-        self.used_segments -= u64::from(segs);
+        let i = self.find(addr, DATA)?;
+        let (meta, segments, _) = self.drop_data(i);
         self.stats.invalidations += 1;
-        Some((std::mem::take(&mut tag.meta), segs))
+        Some((meta, segments))
     }
 
     /// Number of lines resident with data (a running count, O(1)).
@@ -495,9 +470,11 @@ impl<M: Clone + Default> VscCache<M> {
     /// counter that disagrees with the recount.
     pub fn check_invariants(&self) -> Result<(), String> {
         let (mut resident, mut used_total) = (0usize, 0u64);
-        for (si, set) in self.sets.iter().enumerate() {
-            let used = Self::used_segments(set);
-            resident += set.iter().filter(|t| t.has_data).count();
+        let ways = self.cfg.tags_per_set;
+        for si in 0..self.cfg.sets {
+            let range = si * ways..(si + 1) * ways;
+            let used = self.used_segments(range.clone());
+            resident += range.clone().filter(|&i| self.flags[i] & DATA != 0).count();
             used_total += u64::from(used);
             if used > self.cfg.segments_per_set {
                 return Err(format!(
@@ -505,28 +482,28 @@ impl<M: Clone + Default> VscCache<M> {
                     self.cfg.segments_per_set
                 ));
             }
-            for (ti, t) in set.iter().enumerate() {
-                if t.has_data {
-                    if !t.allocated {
+            for (ti, i) in range.enumerate() {
+                let (flags, segments) = (self.flags[i], self.segs[i]);
+                if flags & DATA != 0 {
+                    if flags & ALLOCATED == 0 {
                         return Err(format!(
                             "set {si} tag {ti}: data resident on an unallocated tag"
                         ));
                     }
-                    if !(1..=self.cfg.line_segments).contains(&t.segments) {
+                    if !(1..=self.cfg.line_segments).contains(&segments) {
                         return Err(format!(
-                            "set {si} tag {ti} (addr {:#x}): stored size {} segments \
+                            "set {si} tag {ti} (addr {:#x}): stored size {segments} segments \
                              out of the configured codec geometry 1..={}",
-                            t.addr.0, t.segments, self.cfg.line_segments
+                            self.addrs[i], self.cfg.line_segments
                         ));
                     }
                 } else {
-                    if t.segments != 0 {
+                    if segments != 0 {
                         return Err(format!(
-                            "set {si} tag {ti}: dataless tag charges {} segments",
-                            t.segments
+                            "set {si} tag {ti}: dataless tag charges {segments} segments"
                         ));
                     }
-                    if t.prefetch {
+                    if flags & PREFETCH != 0 {
                         return Err(format!(
                             "set {si} tag {ti}: dataless tag carries a prefetch bit"
                         ));
@@ -551,11 +528,9 @@ impl<M: Clone + Default> VscCache<M> {
 
     /// Calls `f` for every data-resident line.
     pub fn for_each_valid(&self, mut f: impl FnMut(BlockAddr, &M, u8)) {
-        for set in &self.sets {
-            for t in set {
-                if t.has_data {
-                    f(t.addr, &t.meta, t.segments);
-                }
+        for i in 0..self.flags.len() {
+            if self.flags[i] & DATA != 0 {
+                f(BlockAddr(self.addrs[i]), &self.meta[i], self.segs[i]);
             }
         }
     }
@@ -665,6 +640,28 @@ mod tests {
         assert_eq!(ev.len(), 1, "9th line needs a tag: LRU data line evicted");
         assert_eq!(ev[0].addr, BlockAddr(0));
         assert_eq!(c.valid_lines(), 8);
+    }
+
+    #[test]
+    fn new_tag_prefers_unallocated_then_lru_dataless() {
+        let mut c = tiny();
+        for i in 0..4 {
+            c.fill(BlockAddr(i), 4, false, 0);
+        }
+        c.invalidate(BlockAddr(1));
+        // Free tags remain, so the victim tag of line 1 survives.
+        c.fill(BlockAddr(4), 4, false, 0);
+        assert!(c.victim_tag_matches(BlockAddr(1)));
+        for i in 5..8 {
+            c.fill(BlockAddr(i), 4, false, 0);
+        }
+        c.invalidate(BlockAddr(6));
+        // Every tag is allocated: the least recently used dataless tag
+        // (line 1's, older than line 6's) takes the new line.
+        assert!(c.fill(BlockAddr(8), 4, false, 0).is_empty());
+        assert!(!c.victim_tag_matches(BlockAddr(1)));
+        assert!(c.victim_tag_matches(BlockAddr(6)));
+        assert_eq!(c.valid_lines(), 7);
     }
 
     #[test]

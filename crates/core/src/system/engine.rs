@@ -1427,9 +1427,10 @@ impl System {
     fn handle_mem_response(&mut self, addr: BlockAddr, attempt: u8) {
         let link_compression = self.cfg.link_compression;
         let codec_max = self.codec_max;
-        // A line memory has never stored is sized only now, on its first
-        // read; the memo entry is a pure function of the address, so
-        // skipping it for stored lines changes no result.
+        // Memory stores only written-back lines, so a never-written line
+        // is sized here on each read, through the memo. Its size is a
+        // pure function of the address, as `read` requires; skipping it
+        // for stored lines changes no result.
         let (values, sizer, memo) = (&self.values, self.codec_segments, &mut self.seg_cache);
         let (_, form) = self.mem.read(addr, self.now, || {
             if link_compression {

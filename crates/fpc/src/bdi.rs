@@ -8,7 +8,11 @@
 //! covering small values and zeros in the same line.
 //!
 //! This implementation evaluates the configurations below in order of
-//! encoded size and keeps the first that fits. Element width `k` ∈
+//! encoded size and keeps the first that fits. The line is loaded once
+//! per element width into `u64` lanes, and each configuration is one
+//! branch-free min/max pass over its lanes (the word-parallel style of
+//! Zhao et al.'s SIMD codec work), so sizing a line reads no element
+//! twice from the byte array. Element width `k` ∈
 //! {8, 4, 2} bytes, delta width `d` < `k`; encoded size is
 //! `k + (64/k)·d` bytes (the per-element immediate mask lives in the tag
 //! metadata, as in the paper, and is not charged against the data space):
@@ -58,45 +62,76 @@ fn config_bytes(k: u8, d: u8) -> u32 {
     u32::from(k) + (LINE_BYTES as u32 / u32::from(k)) * u32::from(d)
 }
 
-/// Reads element `i` of the line at `k`-byte granularity (little-endian,
-/// zero-extended to u64).
-fn element(line: &[u8; LINE_BYTES], k: u8, i: usize) -> u64 {
-    let k = usize::from(k);
-    let mut v = [0u8; 8];
-    v[..k].copy_from_slice(&line[i * k..i * k + k]);
-    u64::from_le_bytes(v)
+/// A line's elements at each BDI element width, little-endian and
+/// zero-extended into `u64` lanes. Loading the line once per width lets
+/// every configuration scan contiguous lanes instead of re-reading bytes.
+struct Lanes {
+    k2: [u64; LINE_BYTES / 2],
+    k4: [u64; LINE_BYTES / 4],
+    k8: [u64; LINE_BYTES / 8],
 }
 
-/// Whether configuration `(k, d)` can encode the line, and if so the
-/// base (minimum non-immediate element; 0 if all elements are immediate).
-fn config_fits(line: &[u8; LINE_BYTES], k: u8, d: u8) -> Option<u64> {
-    // Offsets are unsigned d-byte values: an element is coverable from a
-    // base `b` iff `v - b < 2^(8d)`; the zero base covers `v < 2^(8d)`.
-    let window = 1u128 << (8 * u32::from(d));
-    let n = LINE_BYTES / usize::from(k);
-    let mut min: Option<u64> = None;
-    let mut max: Option<u64> = None;
-    for i in 0..n {
-        let v = element(line, k, i);
-        if u128::from(v) < window {
-            continue; // immediate: delta from the zero base
+impl Lanes {
+    fn new(line: &[u8; LINE_BYTES]) -> Self {
+        Lanes {
+            k2: load::<2, { LINE_BYTES / 2 }>(line),
+            k4: load::<4, { LINE_BYTES / 4 }>(line),
+            k8: load::<8, { LINE_BYTES / 8 }>(line),
         }
-        min = Some(min.map_or(v, |m| m.min(v)));
-        max = Some(max.map_or(v, |m| m.max(v)));
     }
-    match (min, max) {
-        (None, None) => Some(0),
-        (Some(lo), Some(hi)) if u128::from(hi - lo) < window => Some(lo),
-        _ => None,
+
+    /// The lanes at element width `k` (8, 4 or 2 bytes).
+    fn of(&self, k: u8) -> &[u64] {
+        match k {
+            2 => &self.k2,
+            4 => &self.k4,
+            _ => &self.k8,
+        }
     }
 }
 
-/// The winning configuration for a line: `None` for all-zeros, the raw
-/// fallback, or `Some((k, d, base))`.
-fn best_config(line: &[u8; LINE_BYTES]) -> Option<(u8, u8, u64)> {
+/// The line split into `N` little-endian `K`-byte elements.
+fn load<const K: usize, const N: usize>(line: &[u8; LINE_BYTES]) -> [u64; N] {
+    let mut lanes = [0u64; N];
+    for (lane, bytes) in lanes.iter_mut().zip(line.chunks_exact(K)) {
+        let mut v = [0u8; 8];
+        v[..K].copy_from_slice(bytes);
+        *lane = u64::from_le_bytes(v);
+    }
+    lanes
+}
+
+/// Whether delta width `d` can encode `lanes`, and if so the base
+/// (minimum non-immediate element; 0 if all elements are immediate).
+///
+/// Branch-free over the lanes: an element is immediate (an unsigned
+/// `d`-byte offset from the zero base) iff it is below `2^(8d)`, and a
+/// non-immediate element enters the min/max through an all-ones mask.
+/// Every non-immediate element is at least 1, so `hi == 0` means there
+/// is none. `d ≤ 4`, so the window fits a `u64`.
+fn window_fit(lanes: &[u64], d: u8) -> Option<u64> {
+    let window = 1u64 << (8 * u32::from(d));
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
+    for &v in lanes {
+        let keep = u64::from(v >= window).wrapping_neg();
+        lo = lo.min(v | !keep);
+        hi = hi.max(v & keep);
+    }
+    if hi == 0 {
+        Some(0)
+    } else if hi - lo < window {
+        Some(lo)
+    } else {
+        None
+    }
+}
+
+/// The first configuration in [`CONFIGS`] order that fits: `None` is the
+/// raw fallback, otherwise `Some((k, d, base))`.
+fn best_config(lanes: &Lanes) -> Option<(u8, u8, u64)> {
     CONFIGS
         .iter()
-        .find_map(|&(k, d)| config_fits(line, k, d).map(|base| (k, d, base)))
+        .find_map(|&(k, d)| window_fit(lanes.of(k), d).map(|base| (k, d, base)))
 }
 
 /// A BDI-compressed line.
@@ -220,30 +255,33 @@ impl Codec for Bdi {
         if line.iter().all(|&b| b == 0) {
             return BdiLine::Zeros;
         }
-        let Some((k, d, base)) = best_config(line) else {
+        let lanes = Lanes::new(line);
+        let Some((k, d, base)) = best_config(&lanes) else {
             return BdiLine::Uncompressed(Box::new(*line));
         };
-        let window = 1u128 << (8 * u32::from(d));
-        let n = LINE_BYTES / usize::from(k);
+        let window = 1u64 << (8 * u32::from(d));
         let mut immediate = 0u32;
-        let mut deltas = Vec::with_capacity(n);
-        for i in 0..n {
-            let v = element(line, k, i);
-            if u128::from(v) < window {
-                immediate |= 1 << i;
-                deltas.push(v);
-            } else {
-                deltas.push(v - base);
-            }
-        }
+        let deltas = lanes
+            .of(k)
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                if v < window {
+                    immediate |= 1 << i;
+                    v
+                } else {
+                    v - base
+                }
+            })
+            .collect();
         BdiLine::BaseDelta { elem_bytes: k, delta_bytes: d, base, immediate, deltas }
     }
 
     fn segments(line: &[u8; LINE_BYTES]) -> u8 {
-        if line.iter().all(|&b| b == 0) {
-            return 1;
-        }
-        match best_config(line) {
+        // An all-zero line fits (2, 0) with every element immediate: the
+        // same single segment as the `Zeros` class, so it needs no
+        // separate test here.
+        match best_config(&Lanes::new(line)) {
             Some((k, d, _)) => bits_to_segments(config_bytes(k, d) * 8),
             None => MAX_SEGMENTS,
         }

@@ -10,8 +10,11 @@
 //! explicitly does not model).
 //!
 //! [`MemoryController`] tracks the stored form of every line that has been
-//! written back, charges the fixed DRAM latency, and counts accesses.
-//! Queueing happens upstream on the [`cmpsim_link::Channel`]; the
+//! written back, charges the fixed DRAM latency, and counts accesses. A
+//! line that was never written back is not stored at all: its form is a
+//! pure function of its address (the workload's value model under the
+//! configured codec), so the caller recomputes it on each read.
+//! Queueing happens upstream on the `cmpsim_link::Channel`; the
 //! per-processor limit of 16 outstanding requests is enforced by the core
 //! model's MSHRs.
 
@@ -144,23 +147,25 @@ impl MemoryController {
     /// Reads `addr` at time `now`. Returns `(completion_cycle, form)`.
     ///
     /// If the line was previously written back, its stored form is
-    /// returned verbatim (the ECC bit says whether it is compressed). A
-    /// line never seen before is materialized using `fresh_segments`,
-    /// which the caller computes from the workload's value model (8 when
-    /// link compression is off).
+    /// returned verbatim (the ECC bit says whether it is compressed).
+    /// Otherwise the form is `fresh_segments()`, clamped to the line
+    /// geometry, and nothing is stored: only writebacks enter the map.
+    /// The caller guarantees that `fresh_segments` is pure, returning the
+    /// same count for `addr` on every read (the engine sizes the line's
+    /// deterministic contents under the configured codec, or passes 8
+    /// when link compression is off).
     pub fn read(
         &mut self,
         addr: BlockAddr,
         now: u64,
         fresh_segments: impl FnOnce() -> u8,
     ) -> (u64, StoredForm) {
-        let line_segments = self.line_segments;
-        let form = *self
-            .stored
-            .entry(addr)
-            .or_insert_with(|| StoredForm { segments: fresh_segments().clamp(1, line_segments) });
+        let form = match self.stored.get(&addr) {
+            Some(&form) => form,
+            None => StoredForm { segments: fresh_segments().clamp(1, self.line_segments) },
+        };
         self.stats.reads += 1;
-        if form.is_compressed_in(line_segments) {
+        if form.is_compressed_in(self.line_segments) {
             self.stats.compressed_reads += 1;
         }
         (now + self.latency, form)
@@ -189,9 +194,14 @@ impl MemoryController {
         extra
     }
 
-    /// The stored form of `addr`, if it has ever been touched.
+    /// The stored form of `addr`, if it has ever been written back.
     pub fn stored_form(&self, addr: BlockAddr) -> Option<StoredForm> {
         self.stored.get(&addr).copied()
+    }
+
+    /// Number of lines holding a written-back form.
+    pub fn stored_lines(&self) -> usize {
+        self.stored.len()
     }
 
     /// Access counters.
@@ -219,12 +229,26 @@ mod tests {
     #[test]
     fn fresh_lines_use_provided_form() {
         let mut mem = MemoryController::new(400);
+        // A never-written line takes whatever form the caller supplies,
+        // on every read: nothing is materialized.
         let (_, form) = mem.read(BlockAddr(1), 0, || 2);
         assert_eq!(form.segments, 2);
         assert!(form.is_compressed());
-        // Second read must reuse the materialized form, not re-ask.
-        let (_, form2) = mem.read(BlockAddr(1), 0, || 7);
-        assert_eq!(form2.segments, 2);
+        let (_, form) = mem.read(BlockAddr(1), 0, || 7);
+        assert_eq!(form.segments, 7);
+        assert_eq!(mem.stored_form(BlockAddr(1)), None);
+        for line in 100..10_100 {
+            mem.read(BlockAddr(line), 0, || (line % 8) as u8 + 1);
+        }
+        assert_eq!(mem.stored_lines(), 0, "fresh reads store nothing");
+        // A written-back form persists and wins over the fresh form.
+        mem.write(BlockAddr(1), 5);
+        for fresh in [1, 8] {
+            let (_, form) = mem.read(BlockAddr(1), 0, || fresh);
+            assert_eq!(form.segments, 5);
+        }
+        assert_eq!(mem.stored_form(BlockAddr(1)), Some(StoredForm { segments: 5 }));
+        assert_eq!(mem.stored_lines(), 1);
     }
 
     #[test]

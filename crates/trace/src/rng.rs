@@ -116,7 +116,11 @@ impl Geometric {
             return u64::MAX / 2;
         }
         let u = rng.f64().max(f64::MIN_POSITIVE);
-        (u.ln() / self.ln_q).floor() as u64
+        // `as` truncates toward zero and saturates (NaN and negatives to
+        // 0, +inf to `u64::MAX`), so it gives the same integer as
+        // `floor()` first for every `f64`; without SSE4.1, `floor` is an
+        // out-of-line call.
+        (u.ln() / self.ln_q) as u64
     }
 }
 
@@ -176,6 +180,45 @@ mod tests {
         let mean = sum as f64 / n as f64;
         let expected = (1.0 - p) / p; // 3.0
         assert!((mean - expected).abs() < 0.1, "mean {mean} vs {expected}");
+    }
+
+    #[test]
+    fn truncating_cast_equals_floor_cast() {
+        // `Geometric::sample` relies on `x as u64 == x.floor() as u64`.
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            (52f64).exp2(),
+            (63f64).exp2(),
+            (64f64).exp2(),
+            u64::MAX as f64,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.0,
+            -0.5,
+            -1e300,
+        ];
+        for k in 0..64u32 {
+            let k = f64::from(k);
+            edges.extend([k, f64::from_bits(k.to_bits() + 1), -k]);
+            if k > 0.0 {
+                edges.push(f64::from_bits(k.to_bits() - 1));
+            }
+        }
+        for x in edges {
+            assert_eq!(x.floor() as u64, x as u64, "x = {x:e} ({:#x})", x.to_bits());
+        }
+        let mut r = Rng::new(8);
+        for _ in 0..10_000 {
+            let x = (r.f64().max(f64::MIN_POSITIVE)).ln() / (0.75f64).ln();
+            assert_eq!(x.floor() as u64, x as u64);
+        }
     }
 
     #[test]
